@@ -26,7 +26,7 @@
 use crate::params::SpannerParams;
 use crate::relaxed::{
     build_cluster_graph, is_covered, sequential_redundant_removals, BinPartition, ClusterCover,
-    PhaseStats, SpannerResult,
+    PhaseStats, PointCountMismatch, SpannerResult,
 };
 use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
@@ -121,28 +121,42 @@ pub fn run_ablation(
 ) -> SpannerResult {
     let weighting = EdgeWeighting::Euclidean;
     let graph = weighting.weighted_graph(ubg);
+    // weighted_graph() derives the graph from ubg.points(), so the counts
+    // agree by construction.
     run_ablation_on(ubg.points(), &graph, params, weighting, config)
+        // tc-lint: allow(panic-hygiene)
+        .expect("the UBG's own points match its graph by construction")
 }
 
 /// Like [`run_ablation`] but on an explicit (points, weighted graph) pair.
+///
+/// # Errors
+///
+/// Returns [`PointCountMismatch`] if `points` does not have exactly one
+/// point per graph vertex.
 pub fn run_ablation_on<P: PointAccess + ?Sized>(
     points: &P,
     graph: &WeightedGraph,
     params: SpannerParams,
     weighting: EdgeWeighting,
     config: AblationConfig,
-) -> SpannerResult {
+) -> Result<SpannerResult, PointCountMismatch> {
     let n = graph.node_count();
-    assert_eq!(points.len(), n, "one point per graph vertex is required");
+    if points.len() != n {
+        return Err(PointCountMismatch {
+            points: points.len(),
+            nodes: n,
+        });
+    }
     let mut phases = Vec::new();
     let mut spanner = WeightedGraph::new(n);
     if n == 0 || graph.is_edgeless() {
-        return SpannerResult {
+        return Ok(SpannerResult {
             spanner,
             params,
             weighting,
             phases,
-        };
+        });
     }
     let w0 = weighting.weight_of_distance(params.alpha) / n as f64;
     let bins = BinPartition::new(graph, w0, params.r);
@@ -266,12 +280,12 @@ pub fn run_ablation_on<P: PointAccess + ?Sized>(
         });
     }
 
-    SpannerResult {
+    Ok(SpannerResult {
         spanner,
         params,
         weighting,
         phases,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -409,6 +423,29 @@ mod tests {
     #[test]
     fn default_config_is_the_full_algorithm() {
         assert_eq!(AblationConfig::default(), AblationConfig::full());
+    }
+
+    #[test]
+    fn mismatched_point_count_is_a_typed_error() {
+        let graph = WeightedGraph::new(3);
+        let points = [tc_geometry::Point::new2(0.0, 0.0)];
+        for (_, config) in AblationConfig::named_variants() {
+            let err = run_ablation_on(
+                &points[..],
+                &graph,
+                params(),
+                EdgeWeighting::Euclidean,
+                config,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                PointCountMismatch {
+                    points: 1,
+                    nodes: 3
+                }
+            );
+        }
     }
 
     #[test]

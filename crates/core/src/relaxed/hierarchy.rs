@@ -7,7 +7,7 @@
 //! nodes that made the phase loop Θ(phases · n): the entire 1M build was
 //! the rescans (see docs/PERFORMANCE.md, "Phase engine").
 //!
-//! This engine exploits two structural facts of the paper's phase
+//! This engine exploits three structural facts of the paper's phase
 //! schedule:
 //!
 //! 1. **Covers freeze.** Phase `i` needs a cover of radius
@@ -24,7 +24,10 @@
 //!    constants, not in any correctness argument). The engine thus keeps
 //!    one cover per geometric *level* and rebuilds only when the phase
 //!    radius outgrows `Λ·ρ` — `O(log_Λ(W_max/W_0))` rebuilds per run
-//!    (≈ 9 at the scale-bench parameters) instead of one per phase.
+//!    instead of one per phase. On the scale harness' deployment
+//!    (uniform, expected degree 8, ε = 1) that is 9 rebuilds over 418
+//!    phases at 2·10^4 nodes and 11 over 625 at 10^6, as measured by the
+//!    `level_rebuilds_on_the_scale_schedule_*` tests.
 //!
 //! 2. **Cluster graphs contract.** In `H_{i-1}` every non-centre node has
 //!    exactly one edge — to its centre, weighted by its recorded distance.
@@ -45,14 +48,28 @@
 //!    effect is a slight shift in which query edges get added, not a
 //!    weaker guarantee (EXPERIMENTS.md records the shift).
 //!
-//! Each phase freezes `Q` into a [`CsrGraph`] snapshot before answering
-//! its queries — the repo's "mutate on `WeightedGraph`, measure on
-//! `CsrGraph`" rule, which the seed path violated by querying the live
-//! adjacency-list `H`.
+//! 3. **The quotient freezes per level, too.** Queries run on a frozen
+//!    layout, never on the live adjacency-list `Q` (the repo's "mutate on
+//!    `WeightedGraph`, measure on `CsrGraph`" rule). The engine freezes
+//!    `Q` into a [`CsrGraph`] base once per level rebuild, and from then
+//!    on [`PhaseEngine::absorb_kept`] pushes every quotient edge that
+//!    [`Contraction::absorb_change`] actually added or cheapened onto an
+//!    [`OverlayGraph`] delta, at its new weight. Step (iii) of a phase
+//!    then takes that view in O(1) instead of collecting and sorting the
+//!    whole quotient again. A base entry shadowed by a cheaper delta
+//!    entry stays in place: searches take the minimum over parallel
+//!    edges, and IEEE addition is monotone, so every query and
+//!    redundancy distance is bitwise identical to the one on a fresh
+//!    per-phase freeze (the `overlay_answers_match_a_fresh_quotient_freeze`
+//!    property test gates exactly that). The level's [`BucketConfig`] is
+//!    reused: Δ stays the base's mean weight, and the ring is widened on
+//!    every push that exceeds the heaviest edge it spans — a heavier
+//!    delta edge would otherwise wrap onto a stale ring slot and be
+//!    dropped.
 
 use super::cover::ClusterCover;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, Contraction, CsrGraph, Edge, NodeId, WeightedGraph};
+use tc_graph::{par, Contraction, CsrGraph, Edge, GraphView, NodeId, OverlayGraph, WeightedGraph};
 
 /// Geometric growth factor `Λ` between cover levels: a level built at
 /// radius `ρ` serves every phase with radius in `[ρ, Λ·ρ]`. Larger values
@@ -62,13 +79,27 @@ use tc_graph::{par, Contraction, CsrGraph, Edge, NodeId, WeightedGraph};
 /// per-phase-rebuild baseline.
 const LEVEL_GROWTH: f64 = 2.0;
 
+/// Everything the engine keeps for one cover level.
+#[derive(Debug)]
+struct Level {
+    /// Phase radius the level's cover was built at.
+    radius: f64,
+    cover: ClusterCover,
+    /// The exact quotient `Q`, updated edge by edge.
+    contraction: Contraction,
+    /// `Q` as the phases query it: the CSR frozen at the level rebuild
+    /// plus every quotient edge absorbed since, at its new weight.
+    quotient: OverlayGraph,
+    /// Bucket tuning for `quotient`: Δ from the frozen base, the ring
+    /// widened to the heaviest edge pushed since.
+    config: BucketConfig,
+}
+
 /// Persistent state of the hierarchical phase engine across the phases of
 /// one relaxed-greedy run.
 #[derive(Debug)]
 pub(crate) struct PhaseEngine {
-    level_radius: f64,
-    cover: Option<ClusterCover>,
-    contraction: Option<Contraction>,
+    level: Option<Level>,
     rebuilds: usize,
 }
 
@@ -76,9 +107,7 @@ impl PhaseEngine {
     /// A fresh engine with no cover level yet.
     pub fn new() -> Self {
         Self {
-            level_radius: 0.0,
-            cover: None,
-            contraction: None,
+            level: None,
             rebuilds: 0,
         }
     }
@@ -92,14 +121,19 @@ impl PhaseEngine {
     /// previous-level clusters wherever the radii allow — the new cover is
     /// computed *over the contracted structure* — while the claiming
     /// sweeps run on the real spanner, keeping coverage distances and
-    /// centre separation exact rather than quotient-approximate.
+    /// centre separation exact rather than quotient-approximate. The
+    /// rebuild is also the only place the quotient is frozen into a
+    /// [`CsrGraph`]; the previous level's snapshot and contraction are
+    /// dropped before the new ones are built.
     pub fn prepare(&mut self, spanner: &WeightedGraph, radius: f64) -> bool {
-        if self.cover.is_some() && radius <= LEVEL_GROWTH * self.level_radius {
-            return false;
+        if let Some(level) = &self.level {
+            if radius <= LEVEL_GROWTH * level.radius {
+                return false;
+            }
         }
-        let priority: Vec<NodeId> = match &self.cover {
-            Some(cover) => {
-                let mut centers = cover.centers().to_vec();
+        let priority: Vec<NodeId> = match self.level.take() {
+            Some(previous) => {
+                let mut centers = previous.cover.centers().to_vec();
                 centers.sort_unstable();
                 centers
             }
@@ -109,16 +143,30 @@ impl PhaseEngine {
         let n = spanner.node_count();
         let assignment: Vec<u32> = (0..n).map(|v| cover.cluster_of(v) as u32).collect();
         let offsets: Vec<f64> = (0..n).map(|v| cover.dist_to_center(v)).collect();
-        self.contraction = Some(Contraction::from_graph(
-            spanner,
-            assignment,
-            offsets,
-            cover.cluster_count(),
-        ));
-        self.cover = Some(cover);
-        self.level_radius = radius;
+        let contraction =
+            Contraction::from_graph(spanner, assignment, offsets, cover.cluster_count());
+        let base = CsrGraph::from(contraction.quotient());
+        let config = BucketConfig::for_graph(&base);
+        self.level = Some(Level {
+            radius,
+            cover,
+            contraction,
+            quotient: OverlayGraph::new(base),
+            config,
+        });
         self.rebuilds += 1;
         true
+    }
+
+    /// The current level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`PhaseEngine::prepare`] has never been called.
+    fn level(&self) -> &Level {
+        // Documented API contract (see `# Panics` above): the phase loop
+        // calls prepare() first. tc-lint: allow(panic-hygiene)
+        self.level.as_ref().expect("prepare() establishes a level")
     }
 
     /// The current level's cover.
@@ -127,9 +175,7 @@ impl PhaseEngine {
     ///
     /// Panics if [`PhaseEngine::prepare`] has never been called.
     pub fn cover(&self) -> &ClusterCover {
-        // Documented API contract (see `# Panics` above): the phase loop
-        // calls prepare() first. tc-lint: allow(panic-hygiene)
-        self.cover.as_ref().expect("prepare() establishes a cover")
+        &self.level().cover
     }
 
     /// The current contraction (quotient graph over the level's clusters).
@@ -138,12 +184,7 @@ impl PhaseEngine {
     ///
     /// Panics if [`PhaseEngine::prepare`] has never been called.
     pub fn contraction(&self) -> &Contraction {
-        // Documented API contract (see `# Panics` above): the phase loop
-        // calls prepare() first.
-        self.contraction
-            .as_ref()
-            // tc-lint: allow(panic-hygiene)
-            .expect("prepare() establishes a contraction")
+        &self.level().contraction
     }
 
     /// Number of level rebuilds so far (for stats and tests).
@@ -152,23 +193,41 @@ impl PhaseEngine {
         self.rebuilds
     }
 
-    /// Freezes the quotient into an immutable CSR snapshot (plus its
-    /// bucket configuration) for the phase's query fan-out.
+    /// Step (iii): the cluster graph `H_{i-1}` in contracted form, ready
+    /// for the phase's queries — the level-frozen quotient CSR plus the
+    /// quotient edges absorbed since, with its bucket configuration. O(1):
+    /// the freeze happened in [`PhaseEngine::prepare`], and every later
+    /// change was pushed by [`PhaseEngine::absorb_kept`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`PhaseEngine::prepare`] has never been called.
+    pub fn cluster_graph(&self) -> (&OverlayGraph, &BucketConfig) {
+        let level = self.level();
+        (&level.quotient, &level.config)
+    }
+
+    /// The per-phase freeze this engine replaced, kept as a test oracle: a
+    /// fresh CSR snapshot of the whole quotient and its own bucket
+    /// configuration.
+    #[cfg(test)]
     pub fn freeze(&self) -> (CsrGraph, BucketConfig) {
         let csr = CsrGraph::from(self.contraction().quotient());
         let config = BucketConfig::for_graph(&csr);
         (csr, config)
     }
 
-    /// Step (iv): answers the phase's spanner-path queries on the frozen
-    /// snapshot. Entry `k` is `true` when query edge `k` must be added —
-    /// i.e. `sp_H(u, v) > t·w(u, v)` on the contracted `H`. The queries
-    /// are independent (all measured on the same frozen snapshot), so they
-    /// fan out over `TC_THREADS` workers with a reusable scratch each;
-    /// the in-order merge keeps the verdict vector deterministic.
-    pub fn answer_queries(
+    /// Step (iv): answers the phase's spanner-path queries on the cluster
+    /// graph `h` (a view of this engine's quotient, from
+    /// [`PhaseEngine::cluster_graph`]). Entry `k` is `true` when query
+    /// edge `k` must be added — i.e. `sp_H(u, v) > t·w(u, v)` on the
+    /// contracted `H`. The queries are independent (all measured on the
+    /// same frozen `h`), so they fan out over `TC_THREADS` workers with a
+    /// reusable scratch each; the in-order merge keeps the verdict vector
+    /// deterministic.
+    pub fn answer_queries<G: GraphView + Sync>(
         &self,
-        csr: &CsrGraph,
+        h: &G,
         config: &BucketConfig,
         query_edges: &[Edge],
         t: f64,
@@ -185,30 +244,40 @@ impl PhaseEngine {
                 return true;
             }
             scratch
-                .shortest_path_within(csr, su, sv, remaining, config)
+                .shortest_path_within(h, su, sv, remaining, config)
                 .is_none()
         })
     }
 
-    /// Folds the edges a phase decided to keep into the quotient. Call
-    /// *after* redundancy removal so withdrawn edges never touch the
+    /// Folds the edges a phase decided to keep into the quotient, and
+    /// pushes every quotient edge that actually changed onto the level's
+    /// overlay at its new weight (widening the bucket ring to match).
+    /// Call *after* redundancy removal so withdrawn edges never touch the
     /// contraction (they only ever removed same-phase additions, which are
     /// absorbed here and nowhere else).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`PhaseEngine::prepare`] has never been called.
     pub fn absorb_kept(&mut self, kept: impl IntoIterator<Item = Edge>) {
-        // Same prepare()-first contract as contraction().
-        let contraction = self
-            .contraction
+        // Same prepare()-first contract as level().
+        let level = self
+            .level
             .as_mut()
             // tc-lint: allow(panic-hygiene)
-            .expect("prepare() establishes a contraction");
+            .expect("prepare() establishes a level");
         for e in kept {
-            contraction.absorb(e);
+            if let Some(changed) = level.contraction.absorb_change(e) {
+                level.quotient.push(changed);
+                level.config = level.config.covering(changed.weight);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::redundant::contracted_redundant_removals;
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -291,59 +360,151 @@ mod tests {
         );
     }
 
+    /// Level rebuilds and phases of a relaxed-greedy run on the scale
+    /// harness' deployment (seed 2006, uniform, expected degree 8, unit
+    /// disk, ε = 1) with `n` nodes. The rebuild decision depends only on
+    /// the phase radii `δ·W_{i-1}` of the non-empty bins, so an edgeless
+    /// spanner replays the exact schedule of the real run.
+    fn rebuilds_on_the_scale_schedule(n: usize) -> (usize, usize) {
+        use crate::relaxed::BinPartition;
+        use crate::SpannerParams;
+        use tc_ubg::{generators, UbgBuilder};
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2006);
+        let side = generators::side_for_target_degree(n, 2, 8.0);
+        let points = generators::uniform_points(&mut rng, n, 2, side);
+        let ubg = UbgBuilder::unit_disk().build(points).unwrap();
+        let params = SpannerParams::for_epsilon(1.0, 1.0).unwrap();
+        let bins = BinPartition::new(ubg.graph(), params.alpha / n as f64, params.r);
+        let edgeless = WeightedGraph::new(n);
+        let mut engine = PhaseEngine::new();
+        let mut phases = 0;
+        for i in bins.non_empty_bins().into_iter().filter(|&i| i > 0) {
+            engine.prepare(&edgeless, params.delta * bins.upper(i - 1));
+            phases += 1;
+        }
+        (engine.rebuilds(), phases)
+    }
+
+    /// The module docs quote these counts: a handful of level rebuilds
+    /// (and so of quotient freezes) against hundreds of phases.
+    #[test]
+    fn level_rebuilds_on_the_scale_schedule_at_20k() {
+        assert_eq!(rebuilds_on_the_scale_schedule(20_000), (9, 418));
+    }
+
+    #[test]
+    #[ignore = "10^6-node UBG; run in release with --ignored"]
+    fn level_rebuilds_on_the_scale_schedule_at_1m() {
+        assert_eq!(rebuilds_on_the_scale_schedule(1_000_000), (11, 625));
+    }
+
+    /// Drives `engine` through a phase schedule with geometrically growing
+    /// radii and ever-heavier edge additions — the shape the
+    /// relaxed-greedy loop guarantees: random edges sorted ascending like
+    /// the bin partition, added in chunks, with each phase's radius
+    /// `0.45·w` from the heaviest edge already in the spanner. Before each
+    /// chunk is added, `at_phase` sees the prepared engine, the current
+    /// spanner and the chunk (the phase's "bin"); a final call with an
+    /// empty chunk follows the last addition.
+    fn run_phase_schedule(
+        seed: u64,
+        n: usize,
+        p: f64,
+        mut at_phase: impl FnMut(&PhaseEngine, &WeightedGraph, &[Edge]),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut edges: Vec<Edge> = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(p) {
+                    edges.push(Edge::new(u, v, rng.gen_range(0.01..1.0)));
+                }
+            }
+        }
+        edges.sort();
+        let mut spanner = WeightedGraph::new(n);
+        let mut engine = PhaseEngine::new();
+        let delta = 0.45; // < 1/2, like every validated parameter set
+        let chunk = 4.max(edges.len() / 6);
+        let mut processed = 0;
+        let mut w_prev = 0.0_f64;
+        while processed < edges.len() {
+            // Phase radius from the heaviest edge already *in* the
+            // spanner — the next chunk's edges are all heavier.
+            engine.prepare(&spanner, delta * w_prev);
+            let next = (processed + chunk).min(edges.len());
+            at_phase(&engine, &spanner, &edges[processed..next]);
+            for e in &edges[processed..next] {
+                spanner.add(*e);
+                w_prev = w_prev.max(e.weight);
+            }
+            engine.absorb_kept(edges[processed..next].iter().copied());
+            processed = next;
+        }
+        engine.prepare(&spanner, delta * w_prev);
+        at_phase(&engine, &spanner, &[]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-        /// The tentpole's gating property (satellite: reuse
-        /// `is_valid_cover`): across a phase schedule with geometrically
-        /// growing radii and ever-heavier edge additions — the shape the
-        /// relaxed-greedy loop guarantees — the engine's contracted cover
-        /// remains a valid cover of the *current* spanner at every phase,
-        /// including the phases that reuse a frozen level.
+        /// Across the phase schedule of [`run_phase_schedule`], the
+        /// engine's contracted cover remains a valid cover of the
+        /// *current* spanner at every phase, including the phases that
+        /// reuse a frozen level.
         #[test]
         fn contracted_cover_stays_valid_across_phases(
             seed in 0u64..300,
             n in 5usize..36,
             p in 0.08f64..0.4,
         ) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // All candidate edges, sorted ascending by weight like the bin
-            // partition would.
-            let mut edges: Vec<Edge> = Vec::new();
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    if rng.gen_bool(p) {
-                        edges.push(Edge::new(u, v, rng.gen_range(0.01..1.0)));
-                    }
-                }
-            }
-            edges.sort();
-            let mut spanner = WeightedGraph::new(n);
-            let mut engine = PhaseEngine::new();
-            let delta = 0.45; // < 1/2, like every validated parameter set
-            let chunk = 4.max(edges.len() / 6);
-            let mut processed = 0;
-            let mut w_prev = 0.0_f64;
-            while processed < edges.len() {
-                // Phase radius from the heaviest edge already *in* the
-                // spanner — the next chunk's edges are all heavier.
-                let radius = delta * w_prev;
-                engine.prepare(&spanner, radius);
-                prop_assert!(
-                    engine.cover().is_valid_cover(&spanner),
-                    "cover invalid at radius {radius} with {} spanner edges",
+            run_phase_schedule(seed, n, p, |engine, spanner, _| {
+                assert!(
+                    engine.cover().is_valid_cover(spanner),
+                    "cover invalid with {} spanner edges",
                     spanner.edge_count()
                 );
-                let next = (processed + chunk).min(edges.len());
-                for e in &edges[processed..next] {
-                    spanner.add(*e);
-                    w_prev = w_prev.max(e.weight);
+            });
+        }
+
+        /// On the same schedule, every phase's query verdicts and
+        /// redundancy removals are identical whether measured on the
+        /// engine's level-frozen CSR plus overlay or on the per-phase
+        /// freeze it replaced (a fresh `CsrGraph` of the whole quotient
+        /// with its own bucket configuration).
+        #[test]
+        fn overlay_answers_match_a_fresh_quotient_freeze(
+            seed in 0u64..300,
+            n in 5usize..36,
+            p in 0.08f64..0.4,
+            t in 1.1f64..3.0,
+        ) {
+            let t1 = 1.0 + (t - 1.0) / 2.0;
+            run_phase_schedule(seed, n, p, |engine, _, bin| {
+                let (h, config) = engine.cluster_graph();
+                let (csr, csr_config) = engine.freeze();
+                assert_eq!(h.node_count(), csr.node_count());
+                let verdicts = engine.answer_queries(h, config, bin, t);
+                assert_eq!(verdicts, engine.answer_queries(&csr, &csr_config, bin, t));
+                let added: Vec<Edge> = bin
+                    .iter()
+                    .zip(&verdicts)
+                    .filter(|&(_, &needed)| needed)
+                    .map(|(&e, _)| e)
+                    .collect();
+                for candidates in [bin, &added[..]] {
+                    assert_eq!(
+                        contracted_redundant_removals(candidates, engine.contraction(), h, config, t1),
+                        contracted_redundant_removals(
+                            candidates,
+                            engine.contraction(),
+                            &csr,
+                            &csr_config,
+                            t1
+                        )
+                    );
                 }
-                engine.absorb_kept(edges[processed..next].iter().copied());
-                processed = next;
-            }
-            // Final check after all additions.
-            engine.prepare(&spanner, delta * w_prev);
-            prop_assert!(engine.cover().is_valid_cover(&spanner));
+            });
         }
     }
 }

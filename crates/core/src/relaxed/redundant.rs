@@ -17,7 +17,7 @@
 //! which is what the stretch argument needs.
 
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{mis, Contraction, CsrGraph, Edge, NodeId, WeightedGraph};
+use tc_graph::{mis, Contraction, Edge, GraphView, NodeId, WeightedGraph};
 
 /// The conflict structure among the edges added in one phase.
 #[derive(Debug, Clone)]
@@ -99,10 +99,13 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
 }
 
 /// [`analyze_redundancy`] with path lengths measured on the *contracted*
-/// cluster graph instead of the full `n`-node `H`: `csr` is the frozen
-/// CSR snapshot of `contraction.quotient()` (one node per cluster), and a
-/// non-centre endpoint `x` reaches the quotient through its projection,
-/// so `sp_H(x, y) = offset(x) + sp_Q(super(x), super(y)) + offset(y)`.
+/// cluster graph instead of the full `n`-node `H`: `quotient` is a frozen
+/// view of `contraction.quotient()` (one node per cluster) — a CSR
+/// snapshot, or the phase engine's level-frozen CSR plus its overlay of
+/// later quotient edges, which gives bitwise-identical distances — and
+/// `config` its bucket configuration. A non-centre endpoint `x` reaches
+/// the quotient through its projection, so
+/// `sp_H(x, y) = offset(x) + sp_Q(super(x), super(y)) + offset(y)`.
 /// Every non-centre node of the full `H` has exactly one edge (to its
 /// centre), so this equality is exact — the contracted analysis finds the
 /// same conflicts `H` would, without ever materialising `H`.
@@ -115,10 +118,10 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
 /// conflict. At 10^6 nodes the dense form allocated gigabytes per phase
 /// and its scattered lookups dominated the whole build (see
 /// docs/PERFORMANCE.md, "Phase engine").
-pub fn analyze_redundancy_contracted(
+pub fn analyze_redundancy_contracted<G: GraphView>(
     added: &[Edge],
     contraction: &Contraction,
-    csr: &CsrGraph,
+    quotient: &G,
     config: &BucketConfig,
     t1: f64,
 ) -> RedundancyAnalysis {
@@ -154,7 +157,7 @@ pub fn analyze_redundancy_contracted(
     let mut scratch = BucketScratch::new();
     for &s in &supers {
         let mut row: Vec<(u32, f64)> = Vec::new();
-        scratch.for_each_within(csr, s, budget, config, |v, d| {
+        scratch.for_each_within(quotient, s, budget, config, |v, d| {
             let j = super_index[v];
             if j != u32::MAX {
                 row.push((j, d));
@@ -300,16 +303,17 @@ pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64)
 }
 
 /// [`sequential_redundant_removals`] on the contracted cluster graph: the
-/// hierarchical phase engine's step (v), measuring on the frozen quotient
-/// CSR snapshot instead of a materialised `H`.
-pub fn contracted_redundant_removals(
+/// hierarchical phase engine's step (v), measuring on a frozen view of
+/// the quotient (see [`analyze_redundancy_contracted`]) instead of a
+/// materialised `H`.
+pub fn contracted_redundant_removals<G: GraphView>(
     added: &[Edge],
     contraction: &Contraction,
-    csr: &CsrGraph,
+    quotient: &G,
     config: &BucketConfig,
     t1: f64,
 ) -> Vec<usize> {
-    let analysis = analyze_redundancy_contracted(added, contraction, csr, config, t1);
+    let analysis = analyze_redundancy_contracted(added, contraction, quotient, config, t1);
     if analysis.is_trivial() {
         return Vec::new();
     }
@@ -320,6 +324,7 @@ pub fn contracted_redundant_removals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_graph::CsrGraph;
 
     /// Two parallel edges between two tight clusters: the classic mutually
     /// redundant configuration.

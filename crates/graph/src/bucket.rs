@@ -95,6 +95,24 @@ impl BucketConfig {
         }
     }
 
+    /// The configuration for the same graph after edges up to
+    /// `max_weight` were added to it: Δ is kept and the ring grows to span
+    /// the new maximum (Δ widens only where the `MAX_SPAN` cap binds).
+    /// Returns `self` unchanged when the ring already spans `max_weight`.
+    ///
+    /// The ring must span the heaviest edge: a label pushed further ahead
+    /// than the ring reaches wraps onto the slot of an earlier bucket, is
+    /// taken for stale there and dropped. Callers that grow a graph after
+    /// deriving its configuration (an [`OverlayGraph`](crate::OverlayGraph)
+    /// delta) widen the configuration on every push.
+    pub fn covering(self, max_weight: f64) -> Self {
+        if max_weight <= (self.slots - 3) as f64 * self.delta {
+            self
+        } else {
+            Self::new(self.delta, max_weight)
+        }
+    }
+
     /// The bucket width Δ.
     pub fn delta(&self) -> f64 {
         self.delta

@@ -123,17 +123,26 @@ impl Contraction {
     /// intra-supernode edge is a no-op. Returns whether the quotient
     /// changed.
     pub fn absorb(&mut self, e: Edge) -> bool {
+        self.absorb_change(e).is_some()
+    }
+
+    /// [`Self::absorb`], returning the quotient edge the absorption added
+    /// or cheapened, at its new weight (`None` when the quotient did not
+    /// change). Callers that mirror the quotient elsewhere — a frozen
+    /// snapshot plus an [`OverlayGraph`](crate::OverlayGraph) delta —
+    /// push exactly these edges.
+    pub fn absorb_change(&mut self, e: Edge) -> Option<Edge> {
         let su = self.supernode_of[e.u] as usize;
         let sv = self.supernode_of[e.v] as usize;
         if su == sv {
-            return false;
+            return None;
         }
         let value = self.offset[e.u] + e.weight + self.offset[e.v];
         match self.quotient.edge_weight(su, sv) {
-            Some(current) if current <= value => false,
+            Some(current) if current <= value => None,
             _ => {
                 self.quotient.add_edge(su, sv, value);
-                true
+                Some(Edge::new(su, sv, value))
             }
         }
     }
@@ -164,6 +173,19 @@ mod tests {
         // Better connection: replaced.
         assert!(c.absorb(Edge::new(0, 3, 1.0)));
         assert_eq!(c.quotient().edge_weight(0, 1), Some(1.0));
+    }
+
+    #[test]
+    fn absorb_change_reports_the_new_quotient_edge() {
+        let mut c = Contraction::new(vec![0, 0, 1, 1], vec![0.0, 0.5, 0.25, 0.0], 2);
+        assert_eq!(c.absorb_change(Edge::new(0, 1, 0.1)), None);
+        assert_eq!(
+            c.absorb_change(Edge::new(1, 2, 1.0)),
+            Some(Edge::new(0, 1, 1.75))
+        );
+        assert_eq!(c.absorb_change(Edge::new(1, 3, 2.0)), None);
+        let cheaper = c.absorb_change(Edge::new(3, 0, 1.0)).unwrap();
+        assert_eq!((cheaper.u, cheaper.v, cheaper.weight), (0, 1, 1.0));
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   read-only hot paths; see `docs/PERFORMANCE.md`,
 //! * [`GraphView`] — the read-only trait both representations implement,
 //!   which every traversal below is generic over,
+//! * [`OverlayGraph`] — a frozen `CsrGraph` base plus an append-only delta
+//!   of later edges, for read loops interleaved with small batches of
+//!   insertions and weight decreases (no re-freeze per batch),
+//! * [`Contraction`] — a quotient graph over a supernode assignment,
+//!   maintained incrementally as edges are absorbed,
 //! * [`dijkstra`] — single-source shortest paths, with the bounded-radius
 //!   and early-exit variants the algorithm needs (cluster covers of radius
 //!   `δ·W_{i-1}`, spanner-path queries `sp(u,v) ≤ t·|uv|`),
@@ -62,6 +67,7 @@ mod graph;
 pub mod mis;
 pub mod mst;
 mod ordered;
+mod overlay;
 pub mod par;
 pub mod properties;
 mod union_find;
@@ -72,6 +78,7 @@ pub use csr::CsrGraph;
 pub use edge::Edge;
 pub use graph::{GraphError, WeightedGraph};
 pub use ordered::{cmp_f64, OrdF64};
+pub use overlay::OverlayGraph;
 pub use union_find::UnionFind;
 pub use view::GraphView;
 

@@ -117,3 +117,35 @@ fn verify_spanner_is_byte_identical_across_thread_counts() {
         );
     }
 }
+
+/// Stable FNV-1a over the canonical `(u, v, weight-bits)` edge stream, the
+/// same fingerprint as `spanner_edge_hash` in `BENCH_scale.json`.
+fn edge_hash(graph: &WeightedGraph) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in edge_bytes(graph) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden output: the spanner of one seeded 20k-node unit disk deployment
+/// (the scale harness' shape — uniform, expected degree 8, ε = 1) is
+/// pinned to its edge hash. Performance work on the phase engine must
+/// leave the output bit for bit unchanged; a change that moves it on
+/// purpose re-records the constant and says why.
+#[test]
+fn seeded_20k_spanner_matches_its_golden_edge_hash() {
+    const N: usize = 20_000;
+    let mut rng = ChaCha8Rng::seed_from_u64(2006);
+    let side = generators::side_for_target_degree(N, 2, 8.0);
+    let points = generators::uniform_points(&mut rng, N, 2, side);
+    let ubg = UbgBuilder::unit_disk().build(points).unwrap();
+    let result = build_spanner(&ubg, 1.0).unwrap();
+    assert_eq!(
+        format!("{:016x}", edge_hash(&result.spanner)),
+        "bc3728e7a230abc6",
+        "{} spanner edges",
+        result.spanner.edge_count()
+    );
+}

@@ -174,3 +174,24 @@ fn clustered_topology_is_handled() {
     let report = verify_spanner(network.graph(), &result.spanner, result.params.t);
     assert!(report.stretch_ok);
 }
+
+/// Regression: the weight bins are sparse. With ε = 1e-6 the bin growth
+/// factor is `r ≈ 1 + 1.25e-8`, so the heaviest edge of a 200-node
+/// deployment sits at bin index ~4·10^8; a dense per-bin layout allocated
+/// every empty bin up to it (gigabytes, tens of seconds). Only the
+/// non-empty bins may cost anything, so the build and its full
+/// verification finish in well under a second.
+#[test]
+fn tiny_epsilon_builds_and_verifies_quickly() {
+    let network = deploy(3, 200, 1.0);
+    let start = std::time::Instant::now();
+    let result = build_spanner(&network, 1e-6).unwrap();
+    let report = verify_spanner(network.graph(), &result.spanner, result.params.t);
+    let elapsed = start.elapsed();
+    assert!(report.stretch_ok, "violations: {:?}", report.violations);
+    assert_eq!(report.disconnected_pairs, 0);
+    assert!(
+        elapsed.as_secs_f64() < 1.0,
+        "ε = 1e-6 build + verify took {elapsed:?}"
+    );
+}
