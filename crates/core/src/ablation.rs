@@ -17,7 +17,10 @@
 //! [`AblationConfig`] switches each choice off individually so the
 //! ablation experiment (bench target `ablation`) can quantify what each
 //! one buys: how the spanner size, degree, weight and stretch move when a
-//! mechanism is removed. Every variant still produces a valid
+//! mechanism is removed. A variant is the shared phase driver with a
+//! choice of steps: the first two flags reach the driver's query-edge
+//! selection, the other two decide which graph step (iv) queries and
+//! whether step (v) runs. Every variant still produces a valid
 //! `t`-spanner — the mechanisms only affect sparsity, degree, weight and
 //! round complexity, never correctness of the stretch bound (disabling
 //! the cluster graph can only make queries more accurate; disabling a
@@ -25,15 +28,13 @@
 
 use crate::params::SpannerParams;
 use crate::relaxed::{
-    build_cluster_graph, is_covered, sequential_redundant_removals, BinPartition, ClusterCover,
-    PhaseStats, PointCountMismatch, SpannerResult,
+    answer_queries_on, build_cluster_graph, run_phases, sequential_redundant_removals,
+    ClusterCover, Phase, PhaseSteps, PointCountMismatch, SpannerResult,
 };
-use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use tc_geometry::PointAccess;
-use tc_graph::{components, dijkstra, Edge, WeightedGraph};
+use tc_graph::{CsrGraph, Edge, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// Which mechanisms of the relaxed greedy construction are enabled.
@@ -106,14 +107,17 @@ impl AblationConfig {
 
 /// Runs the relaxed greedy construction with the given mechanisms enabled.
 ///
-/// [`AblationConfig::full`] is the paper's pipeline with every step
-/// recomputed from scratch each phase — per-phase [`ClusterCover::greedy`]
-/// and [`build_cluster_graph`] — i.e. the reference oracle the production
-/// path's hierarchical phase engine (`relaxed::hierarchy`) is gated
-/// against. The engine reuses covers across phase levels and answers
-/// queries on a contracted cluster graph, so its output may differ edge
-/// for edge; both satisfy the paper's stretch/degree/weight invariants
-/// (see the equivalence tests here and `tests/paper_claims.rs`).
+/// Every variant runs the same phase driver as
+/// [`RelaxedGreedy`](crate::RelaxedGreedy), with steps recomputed from
+/// scratch each phase: a per-phase [`ClusterCover::greedy`], then
+/// [`build_cluster_graph`] (or, for exact queries, the partial spanner
+/// itself) and the dense redundancy analysis. [`AblationConfig::full`] is
+/// thus the reference oracle the production path's hierarchical phase
+/// engine (`relaxed::hierarchy`) is gated against. The engine reuses
+/// covers across phase levels and answers queries on a contracted cluster
+/// graph, so its output may differ edge for edge; both satisfy the
+/// paper's stretch/degree/weight invariants (see the equivalence tests
+/// here and `tests/paper_claims.rs`).
 pub fn run_ablation(
     ubg: &UnitBallGraph,
     params: SpannerParams,
@@ -141,151 +145,52 @@ pub fn run_ablation_on<P: PointAccess + ?Sized>(
     weighting: EdgeWeighting,
     config: AblationConfig,
 ) -> Result<SpannerResult, PointCountMismatch> {
-    let n = graph.node_count();
-    if points.len() != n {
-        return Err(PointCountMismatch {
-            points: points.len(),
-            nodes: n,
-        });
+    let mut steps = OracleSteps {
+        config,
+        ..Default::default()
+    };
+    Ok(run_phases(points, graph, &params, weighting, &config, &mut steps)?.0)
+}
+
+/// The per-phase oracle steps: a fresh greedy cover and, when a later step
+/// needs it, a fresh cluster graph every phase.
+#[derive(Default)]
+struct OracleSteps {
+    config: AblationConfig,
+    cover: ClusterCover,
+    /// `H_{i-1}`, built only for cluster-graph queries or redundancy
+    /// removal.
+    h: Option<WeightedGraph>,
+}
+
+impl PhaseSteps for OracleSteps {
+    fn cover(&mut self, spanner: &WeightedGraph, phase: &Phase) -> &ClusterCover {
+        self.cover = ClusterCover::greedy(spanner, phase.radius);
+        &self.cover
     }
-    let mut phases = Vec::new();
-    let mut spanner = WeightedGraph::new(n);
-    if n == 0 || graph.is_edgeless() {
-        return Ok(SpannerResult {
-            spanner,
-            params,
-            weighting,
-            phases,
-        });
+
+    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase) {
+        self.h = (self.config.cluster_graph_queries || self.config.redundancy_removal)
+            .then(|| build_cluster_graph(spanner, &self.cover, phase.w_prev, phase.params.delta).0);
     }
-    let w0 = weighting.weight_of_distance(params.alpha) / n as f64;
-    let bins = BinPartition::new(graph, w0, params.r);
 
-    for bin_index in bins.non_empty_bins() {
-        let bin_edges = bins.bin(bin_index);
-        if bin_index == 0 {
-            let g0 = WeightedGraph::from_edges(n, bin_edges.iter().copied());
-            let mut added = 0;
-            for component in components::connected_components(&g0) {
-                if component.len() < 2 {
-                    continue;
-                }
-                let partial = seq_greedy_on_subset(&g0, &component, params.t);
-                for e in partial.edges() {
-                    spanner.add(e);
-                    added += 1;
-                }
-            }
-            phases.push(PhaseStats {
-                bin: 0,
-                bin_upper: bins.upper(0),
-                edges_in_bin: bin_edges.len(),
-                clusters: 0,
-                covered_edges: 0,
-                same_cluster_edges: 0,
-                candidate_edges: bin_edges.len(),
-                query_edges: bin_edges.len(),
-                added_edges: added,
-                removed_redundant: 0,
-            });
-            continue;
+    /// Asks the queries on `H`, or on a CSR freeze of the partial spanner
+    /// for exact queries.
+    fn answer(&mut self, spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) -> Vec<bool> {
+        let t = phase.params.t;
+        match (self.config.cluster_graph_queries, &self.h) {
+            (true, Some(h)) => answer_queries_on(h, queries, t),
+            _ => answer_queries_on(&CsrGraph::from(spanner), queries, t),
         }
+    }
 
-        let w_prev = bins.upper(bin_index - 1);
-        let radius = params.delta * w_prev;
-        let cover = ClusterCover::greedy(&spanner, radius);
-
-        // Query-edge selection under the configured mechanisms.
-        let mut covered_count = 0;
-        let mut same_cluster = 0;
-        let mut candidates = 0;
-        let mut query_edges: Vec<Edge> = Vec::new();
-        let mut best: BTreeMap<(usize, usize), (f64, Edge)> = BTreeMap::new();
-        for edge in bin_edges {
-            let ca = cover.cluster_of(edge.u);
-            let cb = cover.cluster_of(edge.v);
-            if ca == cb {
-                same_cluster += 1;
-                continue;
-            }
-            if config.covered_filter && is_covered(points, &params, weighting, &spanner, edge) {
-                covered_count += 1;
-                continue;
-            }
-            candidates += 1;
-            if config.per_cluster_pair {
-                let objective = params.t * edge.weight
-                    - cover.dist_to_center(edge.u)
-                    - cover.dist_to_center(edge.v);
-                let key = if ca < cb { (ca, cb) } else { (cb, ca) };
-                match best.get(&key) {
-                    Some((current, _)) if *current <= objective => {}
-                    _ => {
-                        best.insert(key, (objective, *edge));
-                    }
-                }
-            } else {
-                query_edges.push(*edge);
-            }
-        }
-        if config.per_cluster_pair {
-            query_edges.extend(best.into_values().map(|(_, e)| e));
-            query_edges.sort();
-        }
-
-        // The cluster graph is only built when some step needs it.
-        let h = if config.cluster_graph_queries || config.redundancy_removal {
-            Some(build_cluster_graph(&spanner, &cover, w_prev, params.delta).0)
-        } else {
-            None
-        };
-
-        // Query answering.
-        let mut added: Vec<Edge> = Vec::new();
-        for edge in &query_edges {
-            let budget = params.t * edge.weight;
-            let query_graph: &WeightedGraph = match (config.cluster_graph_queries, &h) {
-                (true, Some(h_ref)) => h_ref,
-                _ => &spanner,
-            };
-            if dijkstra::shortest_path_within(query_graph, edge.u, edge.v, budget).is_none() {
-                added.push(*edge);
-            }
-        }
-        for e in &added {
-            spanner.add(*e);
-        }
-
-        // Redundancy removal.
-        let removals = match (config.redundancy_removal, &h) {
-            (true, Some(h_ref)) => sequential_redundant_removals(&added, h_ref, params.t1),
+    fn redundant(&mut self, phase: &Phase, added: &[Edge]) -> Vec<usize> {
+        // Taking H frees it before the next phase builds its own.
+        match (self.config.redundancy_removal, self.h.take()) {
+            (true, Some(h)) => sequential_redundant_removals(added, &h, phase.params.t1),
             _ => Vec::new(),
-        };
-        for &idx in &removals {
-            let e = added[idx];
-            let _ = spanner.remove_edge(e.u, e.v);
         }
-
-        phases.push(PhaseStats {
-            bin: bin_index,
-            bin_upper: bins.upper(bin_index),
-            edges_in_bin: bin_edges.len(),
-            clusters: cover.cluster_count(),
-            covered_edges: covered_count,
-            same_cluster_edges: same_cluster,
-            candidate_edges: candidates,
-            query_edges: query_edges.len(),
-            added_edges: added.len(),
-            removed_redundant: removals.len(),
-        });
     }
-
-    Ok(SpannerResult {
-        spanner,
-        params,
-        weighting,
-        phases,
-    })
 }
 
 #[cfg(test)]

@@ -22,27 +22,30 @@
 //!   graph of mutually redundant edges (a UBG of constant doubling
 //!   dimension, Lemma 20).
 //!
-//! Rather than shipping every byte through the simulator, the driver
-//! reuses the verified sequential phase components for the *data* and
-//! charges a [`RoundLedger`] for the *communication*, at exactly the hop
-//! bounds proved in the paper; the two MIS invocations per phase are run
-//! as genuine message-passing protocols on [`tc_simnet::SyncNetwork`] and
-//! their measured rounds are charged. This keeps the output identical in
-//! structure to the sequential algorithm (so the spanner guarantees carry
-//! over) while producing an honest round count for the complexity
-//! experiment (E4).
+//! Rather than shipping every byte through the simulator, the
+//! construction runs the crate's shared phase driver (the one behind
+//! [`RelaxedGreedy`](crate::RelaxedGreedy)) with message-passing steps:
+//! each step computes its *data* centrally and charges a [`RoundLedger`]
+//! for the *communication*, at exactly the hop bounds proved in the
+//! paper. The two MIS invocations per phase are run as genuine
+//! message-passing protocols on [`tc_simnet::SyncNetwork`] and their
+//! measured rounds are charged. Phase 0, query-edge selection and the
+//! spanner updates are the driver's own, so the output is identical in
+//! structure to the sequential algorithm (and the spanner guarantees
+//! carry over) while the round count for the complexity experiment (E4)
+//! stays honest.
 
+use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::relaxed::{
-    analyze_redundancy, build_cluster_graph, removals_from_mis, select_query_edges, BinPartition,
-    ClusterCover, PhaseStats, PointCountMismatch, SpannerResult,
+    analyze_redundancy, answer_queries_on, build_cluster_graph, run_phases, ClusterCover, Phase,
+    PhaseSteps, PointCountMismatch, SpannerResult,
 };
-use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{components, par, Edge, NodeId, WeightedGraph};
+use tc_graph::{par, Edge, WeightedGraph};
 use tc_simnet::{log2_ceil, log_star, mis, CommStats, RoundLedger};
 use tc_ubg::UnitBallGraph;
 
@@ -148,13 +151,6 @@ impl DistributedRelaxedGreedy {
         &self.params
     }
 
-    fn run_mis(&self, graph: &WeightedGraph) -> mis::MisResult {
-        match self.mis_protocol {
-            MisProtocol::Rank => mis::rank_mis(graph, None),
-            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed),
-        }
-    }
-
     /// Runs the distributed construction on a realised α-UBG.
     pub fn run(&self, ubg: &UnitBallGraph) -> DistributedSpannerResult {
         let graph = self.weighting.weighted_graph(ubg);
@@ -177,57 +173,24 @@ impl DistributedRelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<DistributedSpannerResult, PointCountMismatch> {
-        let n = graph.node_count();
-        if points.len() != n {
-            return Err(PointCountMismatch {
-                points: points.len(),
-                nodes: n,
-            });
-        }
-        let mut ledger = RoundLedger::new();
-        let mut phases: Vec<PhaseStats> = Vec::new();
-        let mut spanner = WeightedGraph::new(n);
-        let alpha_w = self
-            .weighting
-            .weight_of_distance(self.params.alpha)
-            .max(f64::MIN_POSITIVE);
-
-        if n > 0 && !graph.is_edgeless() {
-            let w0 = alpha_w / n as f64;
-            let bins = BinPartition::new(graph, w0, self.params.r);
-            for bin_index in bins.non_empty_bins() {
-                let bin_edges = bins.bin(bin_index);
-                if bin_index == 0 {
-                    let stats = self.process_short_edges_distributed(
-                        &mut spanner,
-                        bin_edges,
-                        &bins,
-                        &mut ledger,
-                    );
-                    phases.push(stats);
-                } else {
-                    let stats = self.process_long_edges_distributed(
-                        points,
-                        &mut spanner,
-                        bin_edges,
-                        &bins,
-                        bin_index,
-                        alpha_w,
-                        &mut ledger,
-                    );
-                    phases.push(stats);
-                }
-            }
-        }
-
+        let mut steps = MessagePassingSteps {
+            mis_protocol: self.mis_protocol,
+            ..Default::default()
+        };
+        let mechanisms = AblationConfig::full();
+        let (result, _) = run_phases(
+            points,
+            graph,
+            &self.params,
+            self.weighting,
+            &mechanisms,
+            &mut steps,
+        )?;
+        let ledger = steps.ledger;
         let total = ledger.total();
+        let n = graph.node_count();
         Ok(DistributedSpannerResult {
-            result: SpannerResult {
-                spanner,
-                params: self.params,
-                weighting: self.weighting,
-                phases,
-            },
+            result,
             rounds: total.rounds,
             messages: total.messages,
             nodes: n,
@@ -236,81 +199,53 @@ impl DistributedRelaxedGreedy {
             ledger,
         })
     }
+}
 
-    /// Phase 0, Theorem 14: processing `E_0` takes `O(1)` rounds — one to
-    /// learn the closed neighbourhood (with pairwise distances), one to
-    /// announce the locally computed clique-spanner edges.
-    fn process_short_edges_distributed(
-        &self,
-        spanner: &mut WeightedGraph,
-        bin_edges: &[Edge],
-        bins: &BinPartition,
-        ledger: &mut RoundLedger,
-    ) -> PhaseStats {
-        let n = spanner.node_count();
-        let g0 = WeightedGraph::from_edges(n, bin_edges.iter().copied());
-        let mut added = 0;
-        // The sweep is over G_0 (short edges only), whose components are
-        // cliques of 1-hop neighbourhoods (Lemma 1) — global on a graph
-        // that is itself local, not on the input.
-        // tc-lint: allow(locality)
-        for component in components::connected_components(&g0) {
-            if component.len() < 2 {
-                continue;
-            }
-            let partial = seq_greedy_on_subset(&g0, &component, self.params.t);
-            for e in partial.edges() {
-                spanner.add(e);
-                added += 1;
-            }
-        }
-        ledger.charge_rounds("phase0/gather-neighbourhood", 1);
-        ledger.charge_rounds("phase0/announce-spanner-edges", 1);
-        PhaseStats {
-            bin: 0,
-            bin_upper: bins.upper(0),
-            edges_in_bin: bin_edges.len(),
-            clusters: 0,
-            covered_edges: 0,
-            same_cluster_edges: 0,
-            candidate_edges: bin_edges.len(),
-            query_edges: bin_edges.len(),
-            added_edges: added,
-            removed_redundant: 0,
+/// The message-passing steps (Sections 3.2.1–3.2.5). Each computes its
+/// data centrally and charges `ledger` for the communication the paper's
+/// local protocol needs.
+#[derive(Default)]
+struct MessagePassingSteps {
+    mis_protocol: MisProtocol,
+    ledger: RoundLedger,
+    cover: ClusterCover,
+    /// The full cluster graph `H_{i-1}` of the current phase.
+    h: WeightedGraph,
+}
+
+impl MessagePassingSteps {
+    fn run_mis(&self, graph: &WeightedGraph) -> mis::MisResult {
+        match self.mis_protocol {
+            MisProtocol::Rank => mis::rank_mis(graph, None),
+            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed),
         }
     }
+}
 
-    /// Phase `i ≥ 1`, Sections 3.2.1–3.2.5.
-    #[allow(clippy::too_many_arguments)]
-    fn process_long_edges_distributed<P: PointAccess + ?Sized>(
-        &self,
-        points: &P,
-        spanner: &mut WeightedGraph,
-        bin_edges: &[Edge],
-        bins: &BinPartition,
-        bin_index: usize,
-        alpha_w: f64,
-        ledger: &mut RoundLedger,
-    ) -> PhaseStats {
-        let w_prev = bins.upper(bin_index - 1);
-        let radius = self.params.delta * w_prev;
-        let label = |step: &str| format!("phase{bin_index}/{step}");
+/// The ledger label of `step` in `phase`.
+fn label(phase: &Phase, step: &str) -> String {
+    format!("phase{}/{step}", phase.bin)
+}
 
-        // Hop bounds the paper derives (Sections 2.2.4 and 3.2): nodes at
-        // spanner distance D are at most 2D/α hops apart in G, because any
-        // two nodes two hops apart on a shortest path are more than α apart.
-        let hops_for =
-            |distance: f64| -> usize { ((2.0 * distance / alpha_w).ceil() as usize).max(1) };
-        let cover_gather_hops = hops_for(radius);
-        let query_select_hops = 1 + cover_gather_hops;
-        let cluster_graph_hops = hops_for((2.0 * self.params.delta + 1.0) * w_prev);
-        let query_answer_hops =
-            ((2.0 * (2.0 * self.params.delta + 1.0) / self.params.alpha).ceil() as usize).max(1);
+/// Hop bound the paper derives (Sections 2.2.4 and 3.2): nodes at spanner
+/// distance `distance` are at most `2·distance/α` hops apart in G, because
+/// any two nodes two hops apart on a shortest path are more than α apart.
+fn hops_for(phase: &Phase, distance: f64) -> usize {
+    ((2.0 * distance / phase.alpha_w).ceil() as usize).max(1)
+}
 
-        // Step (i): cluster cover via MIS on the derived graph J
-        // (x ~ y iff sp_{G'_{i-1}}(x, y) <= radius).
+/// Hops a query answer (and a conflict-graph round) spans.
+fn query_answer_hops(phase: &Phase) -> usize {
+    let p = phase.params;
+    ((2.0 * (2.0 * p.delta + 1.0) / p.alpha).ceil() as usize).max(1)
+}
+
+impl PhaseSteps for MessagePassingSteps {
+    /// Cluster cover via MIS on the derived graph J
+    /// (x ~ y iff sp_{G'_{i-1}}(x, y) <= radius).
+    fn cover(&mut self, spanner: &WeightedGraph, phase: &Phase) -> &ClusterCover {
+        let radius = phase.radius;
         let n = spanner.node_count();
-        let mut j_graph = WeightedGraph::new(n);
         let spanner_config = BucketConfig::for_graph(spanner);
         // Each source's J-neighbours come from a radius-bounded visitor
         // sweep — O(nodes reached) per source, never O(n) — fanned over
@@ -338,96 +273,75 @@ impl DistributedRelaxedGreedy {
                 local
             },
         );
-        for chunk_edges in per_chunk {
-            for (u, v) in chunk_edges {
-                j_graph.add_edge(u, v, 1.0);
-            }
-        }
+        let j_edges = per_chunk.into_iter().flatten();
+        let j_graph = WeightedGraph::from_edges(n, j_edges.map(|(u, v)| Edge::new(u, v, 1.0)));
         let mis_result = self.run_mis(&j_graph);
-        let centers: Vec<NodeId> = mis_result.mis.clone();
-        let cover = ClusterCover::from_centers(spanner, &centers, radius);
-        ledger.charge_rounds(label("cover/gather"), cover_gather_hops);
-        ledger.charge(
-            label("cover/mis"),
+        self.cover = ClusterCover::from_centers(spanner, &mis_result.mis, radius);
+        let cover_gather_hops = hops_for(phase, radius);
+        self.ledger
+            .charge_rounds(label(phase, "cover/gather"), cover_gather_hops);
+        // Each MIS round over J is simulated by relaying through at most
+        // `cover_gather_hops` hops of G.
+        let rounds = mis_result.stats.rounds * cover_gather_hops;
+        self.ledger.charge(
+            label(phase, "cover/mis"),
             CommStats {
-                // Each MIS round over J is simulated by relaying through at
-                // most `cover_gather_hops` hops of G.
-                rounds: mis_result.stats.rounds * cover_gather_hops,
-                messages: mis_result.stats.messages,
-                max_messages_per_node_round: mis_result.stats.max_messages_per_node_round,
+                rounds,
+                ..mis_result.stats
             },
         );
-        ledger.charge_rounds(label("cover/attach"), 1);
+        self.ledger.charge_rounds(label(phase, "cover/attach"), 1);
+        &self.cover
+    }
 
-        // Step (ii): query-edge selection (cluster heads gather all bin
-        // edges between their cluster and any other, discard covered ones,
-        // pick the minimiser per cluster pair).
-        let selection = select_query_edges(
-            points,
-            &self.params,
-            self.weighting,
-            spanner,
-            &cover,
-            bin_edges,
-        );
-        ledger.charge_rounds(label("query-selection/gather"), query_select_hops);
+    /// Also charges step (ii), which the driver runs just before: cluster
+    /// heads gather all bin edges between their cluster and any other,
+    /// discard covered ones and pick the minimiser per cluster pair.
+    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase) {
+        let delta = phase.params.delta;
+        let select_hops = 1 + hops_for(phase, phase.radius);
+        self.ledger
+            .charge_rounds(label(phase, "query-selection/gather"), select_hops);
+        self.h = build_cluster_graph(spanner, &self.cover, phase.w_prev, delta).0;
+        let h_hops = hops_for(phase, (2.0 * delta + 1.0) * phase.w_prev);
+        self.ledger
+            .charge_rounds(label(phase, "cluster-graph/gather"), h_hops);
+    }
 
-        // Step (iii): cluster graph construction.
-        let (h, _h_stats) = build_cluster_graph(spanner, &cover, w_prev, self.params.delta);
-        ledger.charge_rounds(label("cluster-graph/gather"), cluster_graph_hops);
+    fn answer(&mut self, _spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) -> Vec<bool> {
+        let verdicts = answer_queries_on(&self.h, queries, phase.params.t);
+        self.ledger
+            .charge_rounds(label(phase, "queries/answer"), query_answer_hops(phase));
+        verdicts
+    }
 
-        // Step (iv): answer the spanner-path queries.
-        let h_config = BucketConfig::for_graph(&h);
-        let mut h_scratch = BucketScratch::new();
-        let mut added: Vec<Edge> = Vec::new();
-        for edge in &selection.query_edges {
-            let budget = self.params.t * edge.weight;
-            if h_scratch
-                .shortest_path_within(&h, edge.u, edge.v, budget, &h_config)
-                .is_none()
-            {
-                added.push(*edge);
-            }
-        }
-        for e in &added {
-            spanner.add(*e);
-        }
-        ledger.charge_rounds(label("queries/answer"), query_answer_hops);
+    /// Redundant-edge removal via MIS on the conflict graph.
+    fn redundant(&mut self, phase: &Phase, added: &[Edge]) -> Vec<usize> {
+        // The phase's H is not needed after this analysis; taking it frees
+        // it before the next phase builds its own.
+        let analysis = analyze_redundancy(added, &std::mem::take(&mut self.h), phase.params.t1);
+        let removals = analysis.removals(|conflicts| {
+            let conflict_mis = self.run_mis(conflicts);
+            let rounds = conflict_mis.stats.rounds * query_answer_hops(phase);
+            let stats = CommStats {
+                rounds,
+                ..conflict_mis.stats
+            };
+            self.ledger.charge(label(phase, "redundant/mis"), stats);
+            conflict_mis.mis
+        });
+        self.ledger
+            .charge_rounds(label(phase, "redundant/announce"), 1);
+        removals
+    }
 
-        // Step (v): redundant-edge removal via MIS on the conflict graph.
-        let analysis = analyze_redundancy(&added, &h, self.params.t1);
-        let removals = if analysis.is_trivial() {
-            Vec::new()
-        } else {
-            let conflict_mis = self.run_mis(&analysis.conflict_graph);
-            ledger.charge(
-                label("redundant/mis"),
-                CommStats {
-                    rounds: conflict_mis.stats.rounds * query_answer_hops,
-                    messages: conflict_mis.stats.messages,
-                    max_messages_per_node_round: conflict_mis.stats.max_messages_per_node_round,
-                },
-            );
-            removals_from_mis(&analysis, &conflict_mis.mis)
-        };
-        for &idx in &removals {
-            let e = added[idx];
-            let _ = spanner.remove_edge(e.u, e.v);
-        }
-        ledger.charge_rounds(label("redundant/announce"), 1);
-
-        PhaseStats {
-            bin: bin_index,
-            bin_upper: bins.upper(bin_index),
-            edges_in_bin: bin_edges.len(),
-            clusters: cover.cluster_count(),
-            covered_edges: selection.covered,
-            same_cluster_edges: selection.same_cluster,
-            candidate_edges: selection.candidates,
-            query_edges: selection.query_edges.len(),
-            added_edges: added.len(),
-            removed_redundant: removals.len(),
-        }
+    /// Theorem 14: processing `E_0` takes `O(1)` rounds — one to learn the
+    /// closed neighbourhood (with pairwise distances), one to announce the
+    /// locally computed clique-spanner edges.
+    fn phase0_done(&mut self) {
+        self.ledger.charge_rounds("phase0/gather-neighbourhood", 1);
+        self.ledger
+            .charge_rounds("phase0/announce-spanner-edges", 1);
     }
 }
 

@@ -18,7 +18,7 @@ use tc_graph::{NodeId, WeightedGraph};
 /// constructors also fix an assignment (and record the shortest-path
 /// distance from each node to its assigned centre, which is exactly the
 /// `sp_{G'_{i-1}}(a, x)` term of the selection objective).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterCover {
     radius: f64,
     centers: Vec<NodeId>,

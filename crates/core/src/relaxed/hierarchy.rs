@@ -68,8 +68,11 @@
 //!    dropped.
 
 use super::cover::ClusterCover;
-use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, Contraction, CsrGraph, Edge, GraphView, NodeId, OverlayGraph, WeightedGraph};
+use super::driver::{Phase, PhaseSteps};
+use super::query::answer_queries;
+use super::redundant::contracted_redundant_removals;
+use tc_graph::bucket::BucketConfig;
+use tc_graph::{Contraction, CsrGraph, Edge, NodeId, OverlayGraph, WeightedGraph};
 
 /// Geometric growth factor `Λ` between cover levels: a level built at
 /// radius `ρ` serves every phase with radius in `[ρ, Λ·ρ]`. Larger values
@@ -96,22 +99,14 @@ struct Level {
 }
 
 /// Persistent state of the hierarchical phase engine across the phases of
-/// one relaxed-greedy run.
-#[derive(Debug)]
+/// one relaxed-greedy run (a fresh engine has no cover level yet).
+#[derive(Debug, Default)]
 pub(crate) struct PhaseEngine {
     level: Option<Level>,
     rebuilds: usize,
 }
 
 impl PhaseEngine {
-    /// A fresh engine with no cover level yet.
-    pub fn new() -> Self {
-        Self {
-            level: None,
-            rebuilds: 0,
-        }
-    }
-
     /// Ensures the engine holds a cover usable for a phase of radius
     /// `radius` over the current `spanner`, rebuilding the level if the
     /// radius outgrew it. Returns whether a rebuild happened.
@@ -169,42 +164,10 @@ impl PhaseEngine {
         self.level.as_ref().expect("prepare() establishes a level")
     }
 
-    /// The current level's cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`PhaseEngine::prepare`] has never been called.
-    pub fn cover(&self) -> &ClusterCover {
-        &self.level().cover
-    }
-
-    /// The current contraction (quotient graph over the level's clusters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`PhaseEngine::prepare`] has never been called.
-    pub fn contraction(&self) -> &Contraction {
-        &self.level().contraction
-    }
-
     /// Number of level rebuilds so far (for stats and tests).
     #[cfg(test)]
     pub fn rebuilds(&self) -> usize {
         self.rebuilds
-    }
-
-    /// Step (iii): the cluster graph `H_{i-1}` in contracted form, ready
-    /// for the phase's queries — the level-frozen quotient CSR plus the
-    /// quotient edges absorbed since, with its bucket configuration. O(1):
-    /// the freeze happened in [`PhaseEngine::prepare`], and every later
-    /// change was pushed by [`PhaseEngine::absorb_kept`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`PhaseEngine::prepare`] has never been called.
-    pub fn cluster_graph(&self) -> (&OverlayGraph, &BucketConfig) {
-        let level = self.level();
-        (&level.quotient, &level.config)
     }
 
     /// The per-phase freeze this engine replaced, kept as a test oracle: a
@@ -212,41 +175,9 @@ impl PhaseEngine {
     /// configuration.
     #[cfg(test)]
     pub fn freeze(&self) -> (CsrGraph, BucketConfig) {
-        let csr = CsrGraph::from(self.contraction().quotient());
+        let csr = CsrGraph::from(self.level().contraction.quotient());
         let config = BucketConfig::for_graph(&csr);
         (csr, config)
-    }
-
-    /// Step (iv): answers the phase's spanner-path queries on the cluster
-    /// graph `h` (a view of this engine's quotient, from
-    /// [`PhaseEngine::cluster_graph`]). Entry `k` is `true` when query
-    /// edge `k` must be added — i.e. `sp_H(u, v) > t·w(u, v)` on the
-    /// contracted `H`. The queries are independent (all measured on the
-    /// same frozen `h`), so they fan out over `TC_THREADS` workers with a
-    /// reusable scratch each; the in-order merge keeps the verdict vector
-    /// deterministic.
-    pub fn answer_queries<G: GraphView + Sync>(
-        &self,
-        h: &G,
-        config: &BucketConfig,
-        query_edges: &[Edge],
-        t: f64,
-    ) -> Vec<bool> {
-        let contraction = self.contraction();
-        par::par_map_with(query_edges, 0, BucketScratch::new, |scratch, _idx, edge| {
-            let (su, du) = contraction.project(edge.u);
-            let (sv, dv) = contraction.project(edge.v);
-            // Any H-path between distinct clusters starts and ends
-            // with the endpoints' centre edges, so the quotient search
-            // only needs the remaining budget.
-            let remaining = t * edge.weight - du - dv;
-            if remaining < 0.0 {
-                return true;
-            }
-            scratch
-                .shortest_path_within(h, su, sv, remaining, config)
-                .is_none()
-        })
     }
 
     /// Folds the edges a phase decided to keep into the quotient, and
@@ -275,12 +206,54 @@ impl PhaseEngine {
     }
 }
 
+/// The production steps: the level-frozen cover, the quotient overlay and
+/// the contracted redundancy analysis.
+impl PhaseSteps for PhaseEngine {
+    /// Reuses the frozen level while the radius still fits, and rebuilds
+    /// it on the previous level's contraction otherwise.
+    fn cover(&mut self, spanner: &WeightedGraph, phase: &Phase) -> &ClusterCover {
+        self.prepare(spanner, phase.radius);
+        &self.level().cover
+    }
+
+    /// Nothing to do: `H` only changes in step (v), which pushes each
+    /// change onto the quotient's overlay as it happens.
+    fn cluster_graph(&mut self, _spanner: &WeightedGraph, _phase: &Phase) {}
+
+    fn answer(&mut self, _spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) -> Vec<bool> {
+        // Any H-path between distinct clusters starts and ends with the
+        // endpoints' centre edges, so each endpoint is projected onto its
+        // centre.
+        let level = self.level();
+        let t = phase.params.t;
+        answer_queries(&level.quotient, &level.config, queries, t, |v| {
+            level.contraction.project(v)
+        })
+    }
+
+    /// Finds the removals on the quotient, then folds the kept additions
+    /// into it so the next phase's `H` sees them. Removals only ever
+    /// withdraw this phase's own additions, so absorbing after removal
+    /// keeps the contraction exact without any quotient-deletion
+    /// machinery.
+    fn redundant(&mut self, phase: &Phase, added: &[Edge]) -> Vec<usize> {
+        let level = self.level();
+        let (t1, h) = (phase.params.t1, &level.quotient);
+        let removals =
+            contracted_redundant_removals(added, &level.contraction, h, &level.config, t1);
+        // `removals` is ascending.
+        let kept = (0..added.len()).filter(|i| removals.binary_search(i).is_err());
+        self.absorb_kept(kept.map(|i| added[i]));
+        removals
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::redundant::contracted_redundant_removals;
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use tc_graph::GraphView;
 
     /// A random connected-ish weighted graph with weights in
     /// `[w_lo, w_hi)`.
@@ -306,13 +279,16 @@ mod tests {
     fn first_prepare_matches_the_oracle_greedy_cover() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let g = random_graph(&mut rng, 30, 0.2, 0.1, 1.0);
-        let mut engine = PhaseEngine::new();
+        let mut engine = PhaseEngine::default();
         assert!(engine.prepare(&g, 0.3));
         let oracle = ClusterCover::greedy(&g, 0.3);
-        assert_eq!(engine.cover().centers(), oracle.centers());
+        assert_eq!(engine.level().cover.centers(), oracle.centers());
         for v in 0..30 {
-            assert_eq!(engine.cover().cluster_of(v), oracle.cluster_of(v));
-            assert_eq!(engine.cover().dist_to_center(v), oracle.dist_to_center(v));
+            assert_eq!(engine.level().cover.cluster_of(v), oracle.cluster_of(v));
+            assert_eq!(
+                engine.level().cover.dist_to_center(v),
+                oracle.dist_to_center(v)
+            );
         }
     }
 
@@ -320,7 +296,7 @@ mod tests {
     fn radii_within_the_level_growth_reuse_the_cover() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let g = random_graph(&mut rng, 40, 0.15, 0.1, 1.0);
-        let mut engine = PhaseEngine::new();
+        let mut engine = PhaseEngine::default();
         assert!(engine.prepare(&g, 0.2));
         assert!(!engine.prepare(&g, 0.3));
         assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH));
@@ -336,9 +312,9 @@ mod tests {
         // final graph with the same cover.
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut g = random_graph(&mut rng, 25, 0.2, 0.2, 1.0);
-        let mut engine = PhaseEngine::new();
+        let mut engine = PhaseEngine::default();
         engine.prepare(&g, 0.25);
-        let cover = engine.cover().clone();
+        let cover = engine.level().cover.clone();
         // Edges heavier than twice the radius keep the cover frozen-valid.
         let extra: Vec<Edge> = (0..8)
             .filter_map(|_| {
@@ -355,7 +331,7 @@ mod tests {
         let offsets: Vec<f64> = (0..n).map(|v| cover.dist_to_center(v)).collect();
         let bulk = Contraction::from_graph(&g, assignment, offsets, cover.cluster_count());
         assert_eq!(
-            engine.contraction().quotient().sorted_edges(),
+            engine.level().contraction.quotient().sorted_edges(),
             bulk.quotient().sorted_edges()
         );
     }
@@ -377,7 +353,7 @@ mod tests {
         let params = SpannerParams::for_epsilon(1.0, 1.0).unwrap();
         let bins = BinPartition::new(ubg.graph(), params.alpha / n as f64, params.r);
         let edgeless = WeightedGraph::new(n);
-        let mut engine = PhaseEngine::new();
+        let mut engine = PhaseEngine::default();
         let mut phases = 0;
         for i in bins.non_empty_bins().into_iter().filter(|&i| i > 0) {
             engine.prepare(&edgeless, params.delta * bins.upper(i - 1));
@@ -424,7 +400,7 @@ mod tests {
         }
         edges.sort();
         let mut spanner = WeightedGraph::new(n);
-        let mut engine = PhaseEngine::new();
+        let mut engine = PhaseEngine::default();
         let delta = 0.45; // < 1/2, like every validated parameter set
         let chunk = 4.max(edges.len() / 6);
         let mut processed = 0;
@@ -460,7 +436,7 @@ mod tests {
         ) {
             run_phase_schedule(seed, n, p, |engine, spanner, _| {
                 assert!(
-                    engine.cover().is_valid_cover(spanner),
+                    engine.level().cover.is_valid_cover(spanner),
                     "cover invalid with {} spanner edges",
                     spanner.edge_count()
                 );
@@ -481,27 +457,23 @@ mod tests {
         ) {
             let t1 = 1.0 + (t - 1.0) / 2.0;
             run_phase_schedule(seed, n, p, |engine, _, bin| {
-                let (h, config) = engine.cluster_graph();
+                let (h, config) = (&engine.level().quotient, &engine.level().config);
                 let (csr, csr_config) = engine.freeze();
                 assert_eq!(h.node_count(), csr.node_count());
-                let verdicts = engine.answer_queries(h, config, bin, t);
-                assert_eq!(verdicts, engine.answer_queries(&csr, &csr_config, bin, t));
+                let project = |v| engine.level().contraction.project(v);
+                let verdicts = answer_queries(h, config, bin, t, project);
+                assert_eq!(verdicts, answer_queries(&csr, &csr_config, bin, t, project));
                 let added: Vec<Edge> = bin
                     .iter()
                     .zip(&verdicts)
                     .filter(|&(_, &needed)| needed)
                     .map(|(&e, _)| e)
                     .collect();
+                let contraction = &engine.level().contraction;
                 for candidates in [bin, &added[..]] {
                     assert_eq!(
-                        contracted_redundant_removals(candidates, engine.contraction(), h, config, t1),
-                        contracted_redundant_removals(
-                            candidates,
-                            engine.contraction(),
-                            &csr,
-                            &csr_config,
-                            t1
-                        )
+                        contracted_redundant_removals(candidates, contraction, h, config, t1),
+                        contracted_redundant_removals(candidates, contraction, &csr, &csr_config, t1)
                     );
                 }
             });

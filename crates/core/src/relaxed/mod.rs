@@ -18,26 +18,31 @@
 //! 4. mutually redundant edges added in the same phase are pruned through
 //!    an MIS of their conflict graph, which the weight bound needs.
 //!
-//! The phase loop executes steps (i), (iii) and (iv) through the
-//! `hierarchy` engine: covers are kept frozen across geometric *levels*
-//! of phases and rebuilt on the previous level's contraction, and the
-//! cluster graph is maintained incrementally as a quotient
-//! ([`tc_graph::Contraction`]). The quotient is frozen into a CSR snapshot
-//! once per level; each phase queries that snapshot plus an
-//! [`OverlayGraph`](tc_graph::OverlayGraph) delta of the quotient edges
-//! absorbed since. The per-phase cost then tracks the shrinking cluster
-//! count and the phase's own changes instead of `n` — see
-//! `docs/PERFORMANCE.md`, "Phase engine". [`build_cluster_graph`] remains
-//! the per-phase oracle that the engine's equivalence tests and the
-//! distributed path build on.
+//! One phase driver (`driver::run_phases`) runs this structure for every
+//! construction in the crate. It owns the bin loop, phase 0 and the
+//! query-edge selection, and takes steps (i), (iii), (iv) and (v) from a
+//! small step interface with three implementations:
 //!
-//! The distributed algorithm ([`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy)) runs exactly this
-//! phase structure, replacing each step with its message-passing
-//! counterpart.
+//! * [`RelaxedGreedy`] uses the `hierarchy` engine. Covers are kept
+//!   frozen across geometric *levels* of phases and rebuilt on the
+//!   previous level's contraction, and the cluster graph is maintained
+//!   incrementally as a quotient ([`tc_graph::Contraction`]). The
+//!   quotient is frozen into a CSR snapshot once per level; each phase
+//!   queries that snapshot plus an [`OverlayGraph`](tc_graph::OverlayGraph)
+//!   delta of the quotient edges absorbed since. The per-phase cost then
+//!   tracks the shrinking cluster count and the phase's own changes
+//!   instead of `n` — see `docs/PERFORMANCE.md`, "Phase engine".
+//! * [`run_ablation`](crate::run_ablation) recomputes a greedy cover and
+//!   the full [`build_cluster_graph`] every phase, and can switch each
+//!   mechanism off.
+//! * [`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy) builds
+//!   its cover from an MIS and replaces each step with its
+//!   message-passing counterpart, charging the rounds it costs.
 
 mod bins;
 mod cluster_graph;
 mod cover;
+mod driver;
 mod hierarchy;
 mod query;
 mod redundant;
@@ -45,21 +50,22 @@ mod redundant;
 pub use bins::BinPartition;
 pub use cluster_graph::{build_cluster_graph, ClusterGraphStats};
 pub use cover::ClusterCover;
+pub(crate) use driver::{run_phases, Phase, PhaseSteps};
+pub(crate) use query::answer_queries_on;
 pub use query::{is_covered, select_query_edges, QuerySelection};
 pub use redundant::{
     analyze_redundancy, analyze_redundancy_contracted, contracted_redundant_removals,
     removals_from_mis, sequential_redundant_removals, RedundancyAnalysis,
 };
 
+use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
-use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
 use hierarchy::PhaseEngine;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::Instant;
 use tc_geometry::PointAccess;
-use tc_graph::{components, par, Edge, WeightedGraph};
+use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
 
 /// The `points` slice handed to a construction does not have one point per
@@ -96,7 +102,7 @@ impl std::error::Error for PointCountMismatch {}
 /// (and everything else in [`SpannerResult`]) are part of the deterministic
 /// construction output, which must be bitwise identical across runs and
 /// thread counts — wall-clock readings are not.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseTiming {
     /// Bin index `i` the timed phase processed.
     pub bin: usize,
@@ -123,18 +129,13 @@ impl PhaseTiming {
     pub fn for_bin(bin: usize) -> Self {
         Self {
             bin,
-            seconds: 0.0,
-            cover_seconds: 0.0,
-            selection_seconds: 0.0,
-            h_build_seconds: 0.0,
-            query_seconds: 0.0,
-            redundant_seconds: 0.0,
+            ..Self::default()
         }
     }
 }
 
 /// Per-phase statistics of a relaxed-greedy run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseStats {
     /// Bin index `i` this phase processed.
     pub bin: usize,
@@ -236,12 +237,7 @@ impl RelaxedGreedy {
 
     /// Runs the construction on a realised α-UBG.
     pub fn run(&self, ubg: &UnitBallGraph) -> SpannerResult {
-        let graph = self.weighting.weighted_graph(ubg);
-        // weighted_graph() derives the graph from ubg.points(), so the
-        // counts agree by construction.
-        self.run_on(ubg.points(), &graph)
-            // tc-lint: allow(panic-hygiene)
-            .expect("the UBG's own points match its graph by construction")
+        self.run_timed(ubg).0
     }
 
     /// Runs the construction on a realised α-UBG, additionally recording
@@ -270,7 +266,7 @@ impl RelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<SpannerResult, PointCountMismatch> {
-        self.run_on_impl(points, graph, None)
+        Ok(self.run_on_timed(points, graph)?.0)
     }
 
     /// [`RelaxedGreedy::run_on`] with per-phase wall-clock timings.
@@ -284,229 +280,16 @@ impl RelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<(SpannerResult, Vec<PhaseTiming>), PointCountMismatch> {
-        let mut timings = Vec::new();
-        let result = self.run_on_impl(points, graph, Some(&mut timings))?;
-        Ok((result, timings))
-    }
-
-    fn run_on_impl<P: PointAccess + ?Sized>(
-        &self,
-        points: &P,
-        graph: &WeightedGraph,
-        mut timings: Option<&mut Vec<PhaseTiming>>,
-    ) -> Result<SpannerResult, PointCountMismatch> {
-        let n = graph.node_count();
-        if points.len() != n {
-            return Err(PointCountMismatch {
-                points: points.len(),
-                nodes: n,
-            });
-        }
-        let mut phases = Vec::new();
-        let mut spanner = WeightedGraph::new(n);
-        if n == 0 || graph.is_edgeless() {
-            return Ok(SpannerResult {
-                spanner,
-                params: self.params,
-                weighting: self.weighting,
-                phases,
-            });
-        }
-
-        let w0 = self.weighting.weight_of_distance(self.params.alpha) / n as f64;
-        let bins = BinPartition::new(graph, w0, self.params.r);
-        let mut engine = PhaseEngine::new();
-
-        for bin_index in bins.non_empty_bins() {
-            let phase_start = Instant::now();
-            let mut timing = PhaseTiming::for_bin(bin_index);
-            let bin_edges = bins.bin(bin_index);
-            if bin_index == 0 {
-                let stats = self.process_short_edges(&mut spanner, bin_edges, &bins);
-                phases.push(stats);
-            } else {
-                let stats = self.process_long_edges(
-                    points,
-                    &mut spanner,
-                    bin_edges,
-                    &bins,
-                    bin_index,
-                    &mut engine,
-                    &mut timing,
-                );
-                phases.push(stats);
-            }
-            if let Some(timings) = timings.as_deref_mut() {
-                timing.seconds = phase_start.elapsed().as_secs_f64();
-                timings.push(timing);
-            }
-        }
-
-        Ok(SpannerResult {
-            spanner,
-            params: self.params,
-            weighting: self.weighting,
-            phases,
-        })
-    }
-
-    /// Phase 0 (Section 2.1): the graph `G_0` of short edges has clique
-    /// components (Lemma 1); run `SEQ-GREEDY` on each component and keep
-    /// the union.
-    fn process_short_edges(
-        &self,
-        spanner: &mut WeightedGraph,
-        bin_edges: &[Edge],
-        bins: &BinPartition,
-    ) -> PhaseStats {
-        let n = spanner.node_count();
-        let g0 = WeightedGraph::from_edges(n, bin_edges.iter().copied());
-        // The sweep is over G_0 (short edges only), whose components are
-        // cliques of 1-hop neighbourhoods (Lemma 1) — global on a graph
-        // that is itself local, not on the input.
-        // tc-lint: allow(locality)
-        let work: Vec<_> = components::connected_components(&g0)
-            .into_iter()
-            .filter(|component| component.len() >= 2)
-            .collect();
-        // The per-component SEQ-GREEDY runs are independent, so they fan
-        // out over TC_THREADS workers; merging the edge lists in component
-        // order makes the spanner's insertion order — and therefore the
-        // output — bitwise identical to the sequential loop.
-        let t = self.params.t;
-        let per_component: Vec<Vec<Edge>> = par::par_map_with(
-            &work,
-            0,
-            || (),
-            |_scratch, _idx, component| seq_greedy_on_subset(&g0, component, t).edges().collect(),
-        );
-        let mut added = 0;
-        for component_edges in per_component {
-            for e in component_edges {
-                spanner.add(e);
-                added += 1;
-            }
-        }
-        PhaseStats {
-            bin: 0,
-            bin_upper: bins.upper(0),
-            edges_in_bin: bin_edges.len(),
-            clusters: 0,
-            covered_edges: 0,
-            same_cluster_edges: 0,
-            candidate_edges: bin_edges.len(),
-            query_edges: bin_edges.len(),
-            added_edges: added,
-            removed_redundant: 0,
-        }
-    }
-
-    /// Phase `i ≥ 1` (Section 2.2): cluster cover, query-edge selection,
-    /// cluster graph, query answering, redundant-edge removal — steps (i),
-    /// (iii), (iv) and (v) running through the hierarchical [`PhaseEngine`]
-    /// (frozen level covers, incremental contraction, a level-frozen CSR
-    /// quotient with an absorbed-edge overlay).
-    #[allow(clippy::too_many_arguments)]
-    fn process_long_edges<P: PointAccess + ?Sized>(
-        &self,
-        points: &P,
-        spanner: &mut WeightedGraph,
-        bin_edges: &[Edge],
-        bins: &BinPartition,
-        bin_index: usize,
-        engine: &mut PhaseEngine,
-        timing: &mut PhaseTiming,
-    ) -> PhaseStats {
-        let w_prev = bins.upper(bin_index - 1);
-        let radius = self.params.delta * w_prev;
-
-        // Step (i): cluster cover of G'_{i-1} — reused from the engine's
-        // frozen level when the radius still fits, rebuilt on the previous
-        // level's contraction otherwise.
-        let step = Instant::now();
-        engine.prepare(spanner, radius);
-        timing.cover_seconds = step.elapsed().as_secs_f64();
-        let clusters = engine.cover().cluster_count();
-
-        // Step (ii): query-edge selection.
-        let step = Instant::now();
-        let selection = select_query_edges(
+        let mechanisms = AblationConfig::full();
+        let mut engine = PhaseEngine::default();
+        run_phases(
             points,
+            graph,
             &self.params,
             self.weighting,
-            spanner,
-            engine.cover(),
-            bin_edges,
-        );
-        timing.selection_seconds = step.elapsed().as_secs_f64();
-
-        // Step (iii): the cluster graph H_{i-1}, represented by the
-        // engine's quotient — the CSR frozen at the level rebuild plus the
-        // quotient edges absorbed since. Nothing is rebuilt here: H only
-        // changes in step (v), and those changes were pushed as they
-        // happened.
-        let step = Instant::now();
-        let (h, h_config) = engine.cluster_graph();
-        timing.h_build_seconds = step.elapsed().as_secs_f64();
-
-        // Step (iv): answer the spanner-path queries on H. The bin's
-        // queries are all asked on the same *frozen* H (lazy updates), so
-        // they are independent; the engine fans them over TC_THREADS
-        // workers and merges verdicts in query order, keeping the
-        // spanner's insertion order identical to a sequential loop.
-        let step = Instant::now();
-        let needs_edge = engine.answer_queries(h, h_config, &selection.query_edges, self.params.t);
-        let mut added: Vec<Edge> = Vec::new();
-        for (edge, needed) in selection.query_edges.iter().zip(needs_edge) {
-            if needed {
-                added.push(*edge);
-            }
-        }
-        for e in &added {
-            spanner.add(*e);
-        }
-        timing.query_seconds = step.elapsed().as_secs_f64();
-
-        // Step (v): remove mutually redundant edges, then fold the kept
-        // additions into the quotient so the next phase's H sees them.
-        // Removals only ever withdraw this phase's own additions, so
-        // absorbing after removal keeps the contraction exact without any
-        // quotient-deletion machinery.
-        let step = Instant::now();
-        let removals = contracted_redundant_removals(
-            &added,
-            engine.contraction(),
-            h,
-            h_config,
-            self.params.t1,
-        );
-        let mut keep = vec![true; added.len()];
-        for &idx in &removals {
-            keep[idx] = false;
-            let e = added[idx];
-            let _ = spanner.remove_edge(e.u, e.v);
-        }
-        engine.absorb_kept(
-            added
-                .iter()
-                .zip(&keep)
-                .filter(|&(_, &kept)| kept)
-                .map(|(&e, _)| e),
-        );
-        timing.redundant_seconds = step.elapsed().as_secs_f64();
-
-        PhaseStats {
-            bin: bin_index,
-            bin_upper: bins.upper(bin_index),
-            edges_in_bin: bin_edges.len(),
-            clusters,
-            covered_edges: selection.covered,
-            same_cluster_edges: selection.same_cluster,
-            candidate_edges: selection.candidates,
-            query_edges: selection.query_edges.len(),
-            added_edges: added.len(),
-            removed_redundant: removals.len(),
-        }
+            &mechanisms,
+            &mut engine,
+        )
     }
 }
 

@@ -1,4 +1,5 @@
-//! Covered-edge filtering and query-edge selection (Section 2.2.2).
+//! Covered-edge filtering and query-edge selection (Section 2.2.2), and
+//! answering the selected queries (Section 2.2.4).
 //!
 //! An edge `{u, v}` of the current bin is *covered* when an already chosen
 //! spanner edge `{u, z}` makes the Czumaj–Zhao lemma (Lemma 3) applicable:
@@ -10,11 +11,12 @@
 //! every other candidate of that cluster pair redundant.
 
 use super::cover::ClusterCover;
+use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
-use crate::weighting::EdgeWeighting;
 use std::collections::BTreeMap;
 use tc_geometry::{angle_at_indices, PointAccess};
-use tc_graph::{Edge, WeightedGraph};
+use tc_graph::bucket::{BucketConfig, BucketScratch};
+use tc_graph::{par, Edge, GraphView, NodeId, WeightedGraph};
 
 /// The outcome of query-edge selection for one bin.
 #[derive(Debug, Clone, Default)]
@@ -32,10 +34,19 @@ pub struct QuerySelection {
 
 /// Whether the bin edge `edge` is covered with respect to the current
 /// partial spanner (Section 2.2.2's definition, both symmetric cases).
+///
+/// The same test serves every [`EdgeWeighting`](crate::EdgeWeighting):
+/// the geometric conditions (`|vz| ≤ α`, the angle at `u`) are Euclidean,
+/// and `|uz| ≤ |uv|` is checked on the edge weights, which every
+/// weighting orders exactly like the Euclidean lengths.
+///
+/// A zero-length witness `{u, z}` never covers: `z` coincides with `u`, so
+/// `{v, z}` is as long as `{u, v}` itself. It falls in the same bin and
+/// can be filtered by the mirrored witness `{z, u}` in turn, which would
+/// leave neither edge a spanner path.
 pub fn is_covered<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
-    weighting: EdgeWeighting,
     spanner: &WeightedGraph,
     edge: &Edge,
 ) -> bool {
@@ -47,11 +58,10 @@ pub fn is_covered<P: PointAccess + ?Sized>(
             if z == v {
                 continue;
             }
-            // Lemma 3 needs |uz| <= |uv| (in the active weighting this is
-            // the weight comparison), |vz| <= alpha so that {v, z} is
-            // guaranteed to be an edge of the alpha-UBG, and the angle at u
-            // to be at most theta.
-            if w_uz > edge.weight {
+            // Lemma 3 needs 0 < |uz| <= |uv| (see above), |vz| <= alpha so
+            // that {v, z} is guaranteed to be an edge of the alpha-UBG, and
+            // the angle at u to be at most theta.
+            if w_uz == 0.0 || w_uz > edge.weight {
                 continue;
             }
             if points.distance(v, z) > alpha {
@@ -62,21 +72,20 @@ pub fn is_covered<P: PointAccess + ?Sized>(
             }
         }
     }
-    // `weighting` is accepted so callers do not need to special-case the
-    // Euclidean/power distinction: the geometric tests above are always in
-    // Euclidean terms, while the `w_uz > edge.weight` comparison is in the
-    // active weighting (both are monotone in the Euclidean length).
-    let _ = weighting;
     false
 }
 
-/// Selects the query edges of one bin: filters covered and same-cluster
-/// edges, then keeps one edge per cluster pair minimising
+/// Selects the query edges of one bin: skips same-cluster edges, filters
+/// covered ones, then keeps one edge per cluster pair minimising
 /// `t·w(x, y) − sp(a, x) − sp(b, y)`.
+///
+/// Of `mechanisms`, only the two selection rules apply here: without
+/// `covered_filter` no edge counts as covered, and without
+/// `per_cluster_pair` every candidate is queried, in bin order.
 pub fn select_query_edges<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
-    weighting: EdgeWeighting,
+    mechanisms: &AblationConfig,
     spanner: &WeightedGraph,
     cover: &ClusterCover,
     bin_edges: &[Edge],
@@ -93,11 +102,15 @@ pub fn select_query_edges<P: PointAccess + ?Sized>(
             selection.same_cluster += 1;
             continue;
         }
-        if is_covered(points, params, weighting, spanner, edge) {
+        if mechanisms.covered_filter && is_covered(points, params, spanner, edge) {
             selection.covered += 1;
             continue;
         }
         selection.candidates += 1;
+        if !mechanisms.per_cluster_pair {
+            selection.query_edges.push(*edge);
+            continue;
+        }
         let objective =
             params.t * edge.weight - cover.dist_to_center(edge.u) - cover.dist_to_center(edge.v);
         let key = if ca < cb { (ca, cb) } else { (cb, ca) };
@@ -108,10 +121,48 @@ pub fn select_query_edges<P: PointAccess + ?Sized>(
             }
         }
     }
-    selection.query_edges = best.into_values().map(|(_, e)| e).collect();
-    // Canonical processing order: by weight, then endpoints (`Edge`'s Ord).
-    selection.query_edges.sort();
+    if mechanisms.per_cluster_pair {
+        selection.query_edges = best.into_values().map(|(_, e)| e).collect();
+        // Canonical processing order: by weight, then endpoints (`Edge`'s
+        // Ord).
+        selection.query_edges.sort();
+    }
     selection
+}
+
+/// Step (iv): entry `k` is `true` when query edge `k` has no path within
+/// `t·w` in the frozen graph `h` and must be added. `project` maps a node
+/// to its node in `h` plus the distance paid to get there: the phase
+/// engine's contraction projects onto cluster centres, while a search on
+/// the full `H` (or the spanner) uses the identity `(v, 0.0)`, leaving the
+/// budget `t·w − 0 − 0` bitwise `t·w`. The independent queries fan out
+/// over `TC_THREADS` workers and merge in query order.
+pub(crate) fn answer_queries<G: GraphView + Sync>(
+    h: &G,
+    config: &BucketConfig,
+    query_edges: &[Edge],
+    t: f64,
+    project: impl Fn(NodeId) -> (NodeId, f64) + Sync,
+) -> Vec<bool> {
+    par::par_map_with(query_edges, 0, BucketScratch::new, |scratch, _idx, edge| {
+        let (su, du) = project(edge.u);
+        let (sv, dv) = project(edge.v);
+        let remaining = t * edge.weight - du - dv;
+        remaining < 0.0
+            || scratch
+                .shortest_path_within(h, su, sv, remaining, config)
+                .is_none()
+    })
+}
+
+/// [`answer_queries`] on a graph over the original nodes, with the
+/// identity projection and the graph's own bucket configuration.
+pub(crate) fn answer_queries_on<G: GraphView + Sync>(
+    h: &G,
+    query_edges: &[Edge],
+    t: f64,
+) -> Vec<bool> {
+    answer_queries(h, &BucketConfig::for_graph(h), query_edges, t, |v| (v, 0.0))
 }
 
 #[cfg(test)]
@@ -136,13 +187,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.2);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(is_covered(
-            &points,
-            &params(),
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(is_covered(&points, &params(), &spanner, &edge));
     }
 
     #[test]
@@ -155,13 +200,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.2);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(!is_covered(
-            &points,
-            &params(),
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(!is_covered(&points, &params(), &spanner, &edge));
     }
 
     #[test]
@@ -178,13 +217,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.25);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(!is_covered(
-            &points,
-            &p,
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(!is_covered(&points, &p, &spanner, &edge));
     }
 
     #[test]
@@ -198,13 +231,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.5);
         let edge = Edge::new(0, 1, 0.4);
-        assert!(!is_covered(
-            &points,
-            &params(),
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(!is_covered(&points, &params(), &spanner, &edge));
     }
 
     #[test]
@@ -218,13 +245,72 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(1, 2, 0.2);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(is_covered(
+        assert!(is_covered(&points, &params(), &spanner, &edge));
+    }
+
+    #[test]
+    fn zero_length_witness_does_not_cover() {
+        // z sits exactly on u: the angle at u is degenerate, and {v, z} is
+        // as long as {u, v}, so {u, z} must not count as a witness.
+        let points = vec![
+            Point::new2(0.0, 0.0), // u
+            Point::new2(0.9, 0.0), // v
+            Point::new2(0.0, 0.0), // z
+        ];
+        let mut spanner = WeightedGraph::new(3);
+        spanner.add_edge(0, 2, 0.0);
+        assert!(!is_covered(
             &points,
             &params(),
-            EdgeWeighting::Euclidean,
             &spanner,
-            &edge
+            &Edge::new(0, 1, 0.9)
         ));
+        assert!(!is_covered(
+            &points,
+            &params(),
+            &spanner,
+            &Edge::new(2, 1, 0.9)
+        ));
+    }
+
+    #[test]
+    fn disabled_selection_rules_keep_every_candidate_in_bin_order() {
+        // u, v and an aligned witness z of u: {u, v} is covered.
+        let points = vec![
+            Point::new2(0.0, 0.0),
+            Point::new2(0.9, 0.0),
+            Point::new2(0.2, 0.0),
+            Point::new2(0.9, 0.1),
+        ];
+        let mut spanner = WeightedGraph::new(4);
+        spanner.add_edge(0, 2, 0.2);
+        let cover = ClusterCover::greedy(&spanner, 0.05);
+        let bin_edges = vec![
+            Edge::new(0, 3, 0.905),
+            Edge::new(0, 1, 0.9),
+            Edge::new(2, 1, 0.7),
+        ];
+        let select = |mechanisms: AblationConfig| {
+            select_query_edges(
+                &points,
+                &params(),
+                &mechanisms,
+                &spanner,
+                &cover,
+                &bin_edges,
+            )
+        };
+        let full = select(AblationConfig::full());
+        assert_eq!(full.covered, 2);
+        assert_eq!(full.query_edges, vec![bin_edges[2]]);
+        let unfiltered = select(AblationConfig {
+            covered_filter: false,
+            per_cluster_pair: false,
+            ..AblationConfig::full()
+        });
+        assert_eq!(unfiltered.covered, 0);
+        assert_eq!(unfiltered.candidates, 3);
+        assert_eq!(unfiltered.query_edges, bin_edges);
     }
 
     #[test]
@@ -254,7 +340,7 @@ mod tests {
         let sel = select_query_edges(
             &points,
             &p,
-            EdgeWeighting::Euclidean,
+            &AblationConfig::full(),
             &spanner,
             &cover,
             &bin_edges,
@@ -276,7 +362,7 @@ mod tests {
         let sel = select_query_edges(
             &points,
             &params(),
-            EdgeWeighting::Euclidean,
+            &AblationConfig::full(),
             &spanner,
             &cover,
             &[Edge::new(0, 1, 0.05)],
@@ -293,7 +379,7 @@ mod tests {
         let sel = select_query_edges(
             &points,
             &params(),
-            EdgeWeighting::Euclidean,
+            &AblationConfig::full(),
             &spanner,
             &cover,
             &[],

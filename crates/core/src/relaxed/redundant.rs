@@ -36,18 +36,24 @@ impl RedundancyAnalysis {
     pub fn is_trivial(&self) -> bool {
         self.conflict_graph.is_edgeless()
     }
+
+    /// The edges to remove when `mis` picks the independent set of the
+    /// conflict graph to keep (see [`removals_from_mis`]). No MIS runs
+    /// when no pair conflicts.
+    pub(crate) fn removals(&self, mis: impl FnOnce(&WeightedGraph) -> Vec<usize>) -> Vec<usize> {
+        if self.is_trivial() {
+            return Vec::new();
+        }
+        removals_from_mis(self, &mis(&self.conflict_graph))
+    }
 }
 
 /// Finds all mutually redundant pairs among `added` (the edges added in the
 /// current phase), measuring path lengths on the cluster graph `h`.
 pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> RedundancyAnalysis {
     assert!(t1 > 1.0, "t1 must exceed 1");
-    let conflict_graph = WeightedGraph::new(added.len());
     if added.len() < 2 {
-        return RedundancyAnalysis {
-            conflict_graph,
-            involved: Vec::new(),
-        };
+        return conflict_pairs(added, t1, std::iter::empty(), |_, _| f64::INFINITY);
     }
     // Distances in H from every endpoint of an added edge, bounded by the
     // largest value any redundancy condition can need. Only
@@ -82,7 +88,9 @@ pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> Redunda
     let sp = |x: NodeId, y: NodeId| -> f64 {
         dmat[endpoint_index[x] as usize * k + endpoint_index[y] as usize]
     };
-    conflict_pairs(added, t1, sp, conflict_graph)
+    let a = added.len();
+    let all_pairs = (0..a).flat_map(|i| ((i + 1)..a).map(move |j| (i, j)));
+    conflict_pairs(added, t1, all_pairs, sp)
 }
 
 /// The largest `H`-distance any single leg of a qualifying redundancy
@@ -126,12 +134,8 @@ pub fn analyze_redundancy_contracted<G: GraphView>(
     t1: f64,
 ) -> RedundancyAnalysis {
     assert!(t1 > 1.0, "t1 must exceed 1");
-    let mut conflict_graph = WeightedGraph::new(added.len());
     if added.len() < 2 {
-        return RedundancyAnalysis {
-            conflict_graph,
-            involved: Vec::new(),
-        };
+        return conflict_pairs(added, t1, std::iter::empty(), |_, _| f64::INFINITY);
     }
     let budget = leg_budget(added, t1);
     let mut supers: Vec<usize> = added
@@ -208,10 +212,23 @@ pub fn analyze_redundancy_contracted<G: GraphView>(
     }
     candidates.sort_unstable();
     candidates.dedup();
+    let pairs = candidates.iter().map(|&(i, j)| (i as usize, j as usize));
+    conflict_pairs(added, t1, pairs, sp)
+}
 
+/// The pairing test shared by both analyses: records a conflict for every
+/// pair `(i, j)` of `added` edges (in the given order) that is mutually
+/// redundant under the distance `sp` in either endpoint pairing, up to a
+/// `1e-12` rounding slack.
+fn conflict_pairs(
+    added: &[Edge],
+    t1: f64,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+    sp: impl Fn(NodeId, NodeId) -> f64,
+) -> RedundancyAnalysis {
+    let mut conflict_graph = WeightedGraph::new(added.len());
     let mut involved = vec![false; added.len()];
-    for &(i, j) in &candidates {
-        let (i, j) = (i as usize, j as usize);
+    for (i, j) in pairs {
         let (e1, e2) = (added[i], added[j]);
         // Pairing A: u<->u', v<->v'. Pairing B: u<->v', v<->u'.
         let pairings = [
@@ -225,45 +242,6 @@ pub fn analyze_redundancy_contracted<G: GraphView>(
             conflict_graph.add_edge(i, j, 1.0);
             involved[i] = true;
             involved[j] = true;
-        }
-    }
-    RedundancyAnalysis {
-        conflict_graph,
-        involved: involved
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x)
-            .map(|(i, _)| i)
-            .collect(),
-    }
-}
-
-/// The shared pairing loop of the two analyses: tests both endpoint
-/// pairings of every edge pair against the mutual-redundancy conditions
-/// and records conflicts.
-fn conflict_pairs(
-    added: &[Edge],
-    t1: f64,
-    sp: impl Fn(NodeId, NodeId) -> f64,
-    mut conflict_graph: WeightedGraph,
-) -> RedundancyAnalysis {
-    let mut involved = vec![false; added.len()];
-    for i in 0..added.len() {
-        for j in (i + 1)..added.len() {
-            let (e1, e2) = (added[i], added[j]);
-            // Pairing A: u<->u', v<->v'. Pairing B: u<->v', v<->u'.
-            let pairings = [
-                sp(e1.u, e2.u) + sp(e1.v, e2.v),
-                sp(e1.u, e2.v) + sp(e1.v, e2.u),
-            ];
-            let redundant = pairings.iter().any(|&s| {
-                s + e2.weight <= t1 * e1.weight + 1e-12 && s + e1.weight <= t1 * e2.weight + 1e-12
-            });
-            if redundant {
-                conflict_graph.add_edge(i, j, 1.0);
-                involved[i] = true;
-                involved[j] = true;
-            }
         }
     }
     RedundancyAnalysis {
@@ -294,12 +272,7 @@ pub fn removals_from_mis(analysis: &RedundancyAnalysis, chosen: &[usize]) -> Vec
 /// computes a greedy MIS of the conflict graph, and returns the indices of
 /// the edges to remove.
 pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64) -> Vec<usize> {
-    let analysis = analyze_redundancy(added, h, t1);
-    if analysis.is_trivial() {
-        return Vec::new();
-    }
-    let chosen = mis::greedy_mis(&analysis.conflict_graph);
-    removals_from_mis(&analysis, &chosen)
+    analyze_redundancy(added, h, t1).removals(mis::greedy_mis)
 }
 
 /// [`sequential_redundant_removals`] on the contracted cluster graph: the
@@ -313,12 +286,8 @@ pub fn contracted_redundant_removals<G: GraphView>(
     config: &BucketConfig,
     t1: f64,
 ) -> Vec<usize> {
-    let analysis = analyze_redundancy_contracted(added, contraction, quotient, config, t1);
-    if analysis.is_trivial() {
-        return Vec::new();
-    }
-    let chosen = mis::greedy_mis(&analysis.conflict_graph);
-    removals_from_mis(&analysis, &chosen)
+    analyze_redundancy_contracted(added, contraction, quotient, config, t1)
+        .removals(mis::greedy_mis)
 }
 
 #[cfg(test)]

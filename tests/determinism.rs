@@ -121,12 +121,7 @@ fn verify_spanner_is_byte_identical_across_thread_counts() {
 /// Stable FNV-1a over the canonical `(u, v, weight-bits)` edge stream, the
 /// same fingerprint as `spanner_edge_hash` in `BENCH_scale.json`.
 fn edge_hash(graph: &WeightedGraph) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in edge_bytes(graph) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv(edge_bytes(graph))
 }
 
 /// Golden output: the spanner of one seeded 20k-node unit disk deployment
@@ -148,4 +143,147 @@ fn seeded_20k_spanner_matches_its_golden_edge_hash() {
         "{} spanner edges",
         result.spanner.edge_count()
     );
+}
+
+/// FNV-1a over a byte stream.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Fingerprint of a run's per-phase statistics, field by field (weights by
+/// their bit patterns).
+fn phase_stats_hash(phases: &[topology_control::spanner::PhaseStats]) -> u64 {
+    let mut bytes = Vec::new();
+    for p in phases {
+        for field in [
+            p.bin,
+            p.edges_in_bin,
+            p.clusters,
+            p.covered_edges,
+            p.same_cluster_edges,
+            p.candidate_edges,
+            p.query_edges,
+            p.added_edges,
+            p.removed_redundant,
+        ] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes.extend_from_slice(&p.bin_upper.to_bits().to_le_bytes());
+    }
+    fnv(bytes)
+}
+
+/// Moves the last six points to within 1e-5 of the first six, so the
+/// short-edge bin is non-empty and phase 0 runs (a uniform deployment
+/// almost never has an edge shorter than `α/n`).
+fn with_near_twins(mut points: Vec<Point>) -> Vec<Point> {
+    let n = points.len();
+    for k in 0..6 {
+        points[n - 1 - k] = points[k].translated(&[1e-5, 0.0]);
+    }
+    points
+}
+
+/// Golden output of the distributed construction on a seeded 5k-node
+/// α = 0.8 grey-zone deployment with near-twin points: the spanner's edge hash, the total rounds
+/// and messages, the rounds per step label (summed over phases) and a
+/// fingerprint of the whole ledger in charge order. Refactors of the phase
+/// driver must leave all of them bit for bit unchanged.
+#[test]
+fn seeded_5k_distributed_spanner_matches_its_golden_output() {
+    const N: usize = 5_000;
+    let mut rng = ChaCha8Rng::seed_from_u64(2006);
+    let side = generators::side_for_target_degree(N, 2, 10.0);
+    let points = with_near_twins(generators::uniform_points(&mut rng, N, 2, side));
+    let ubg = UbgBuilder::new(0.8)
+        .grey_zone(GreyZonePolicy::Probabilistic {
+            probability: 0.5,
+            seed: 2006,
+        })
+        .build(points)
+        .unwrap();
+    let out = build_spanner_distributed(&ubg, 1.0).unwrap();
+    let mut per_step: std::collections::BTreeMap<&str, usize> = Default::default();
+    let mut ledger_bytes = Vec::new();
+    for (label, stats) in out.ledger.entries() {
+        let step = label.split_once('/').map_or(label, |(_, step)| step);
+        *per_step.entry(step).or_default() += stats.rounds;
+        ledger_bytes.extend_from_slice(label.as_bytes());
+        for field in [
+            stats.rounds,
+            stats.messages,
+            stats.max_messages_per_node_round,
+        ] {
+            ledger_bytes.extend_from_slice(&field.to_le_bytes());
+        }
+    }
+    let per_step: Vec<String> = per_step
+        .iter()
+        .map(|(step, rounds)| format!("{step}={rounds}"))
+        .collect();
+    assert_eq!(
+        (
+            format!("{:016x}", edge_hash(&out.result.spanner)),
+            out.rounds,
+            out.messages,
+            per_step.join(" "),
+            format!("{:016x}", fnv(ledger_bytes)),
+        ),
+        (
+            "ceaa395465a8f4b2".to_string(),
+            5155,
+            23872,
+            "announce-spanner-edges=1 cluster-graph/gather=497 cover/attach=358 \
+             cover/gather=358 cover/mis=1432 gather-neighbourhood=1 queries/answer=1074 \
+             query-selection/gather=716 redundant/announce=358 redundant/mis=360"
+                .to_string(),
+            "581de1971a5312d1".to_string(),
+        ),
+    );
+}
+
+/// Golden output of every named ablation variant on a seeded 300-node
+/// unit disk graph with near-twin points (ε = 1.5, where every variant's
+/// output differs from the others): the spanner's edge hash and its per-phase statistics.
+#[test]
+fn seeded_ablation_variants_match_their_golden_outputs() {
+    use topology_control::spanner::{run_ablation, AblationConfig};
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let side = generators::side_for_target_degree(300, 2, 30.0);
+    let points = with_near_twins(generators::uniform_points(&mut rng, 300, 2, side));
+    let ubg = UbgBuilder::unit_disk().build(points).unwrap();
+    let params = SpannerParams::for_epsilon(1.5, 1.0).unwrap();
+    let actual: Vec<(&str, String, String)> = AblationConfig::named_variants()
+        .into_iter()
+        .map(|(name, config)| {
+            let result = run_ablation(&ubg, params, config);
+            (
+                name,
+                format!("{:016x}", edge_hash(&result.spanner)),
+                format!("{:016x}", phase_stats_hash(&result.phases)),
+            )
+        })
+        .collect();
+    let golden = [
+        ("full", "78cb74a23526f335", "7fd8a5faa77b281b"),
+        ("no-covered-filter", "78cb74a23526f335", "988912314bbf792b"),
+        (
+            "no-cluster-pair-dedup",
+            "673bc0e221d86b15",
+            "f606faa3f900f779",
+        ),
+        ("exact-queries", "802baa662da049dd", "3eab4c273dfd1b5a"),
+        (
+            "no-redundancy-removal",
+            "a129aaddf8c3ab36",
+            "23a1dea239b833ec",
+        ),
+    ]
+    .map(|(name, edges, stats)| (name, edges.to_string(), stats.to_string()));
+    assert_eq!(actual, golden);
 }

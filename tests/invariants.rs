@@ -115,3 +115,49 @@ proptest! {
         }
     }
 }
+
+/// Coincident points give zero-length edges. A zero-length spanner edge
+/// `{u, z}` must not serve as a Czumaj–Zhao witness for covering `{u, v}`:
+/// `z` sits on `u`, so the witness edge `{v, z}` is as long as `{u, v}`
+/// itself and lands in the same bin, where it can be filtered by the
+/// mirrored witness in turn — and then neither edge gets a spanner path.
+/// Every construction must keep the stretch guarantee on such inputs.
+#[test]
+fn coincident_points_keep_the_stretch_guarantee() {
+    use topology_control::spanner::{run_ablation, AblationConfig};
+    let eps = 0.5;
+    for seed in 0..6u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let side = generators::side_for_target_degree(200, 2, 10.0);
+        let mut points = generators::uniform_points(&mut rng, 200, 2, side);
+        // The last 20 points land exactly on the first 20.
+        for k in 0..20 {
+            points[180 + k] = points[k].clone();
+        }
+        let network = UbgBuilder::unit_disk().build(points).unwrap();
+        let params = SpannerParams::for_epsilon(eps, 1.0).unwrap();
+        let spanners = [
+            ("relaxed", build_spanner(&network, eps).unwrap().spanner),
+            (
+                "distributed",
+                build_spanner_distributed(&network, eps)
+                    .unwrap()
+                    .result
+                    .spanner,
+            ),
+            (
+                "ablation-full",
+                run_ablation(&network, params, AblationConfig::full()).spanner,
+            ),
+        ];
+        for (name, spanner) in spanners {
+            let report = verify_spanner(network.graph(), &spanner, params.t);
+            assert!(
+                report.stretch_ok && report.disconnected_pairs == 0,
+                "seed {seed}, {name}: stretch {} with {} disconnected pairs",
+                report.stretch,
+                report.disconnected_pairs
+            );
+        }
+    }
+}
