@@ -160,7 +160,7 @@ struct OracleSteps {
     cover: ClusterCover,
     /// `H_{i-1}`, built only for cluster-graph queries or redundancy
     /// removal.
-    h: Option<WeightedGraph>,
+    h: Option<CsrGraph>,
 }
 
 impl PhaseSteps for OracleSteps {

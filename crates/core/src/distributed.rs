@@ -38,21 +38,16 @@
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::relaxed::{
-    analyze_redundancy, answer_queries_on, build_cluster_graph, run_phases, ClusterCover, Phase,
-    PhaseSteps, PointCountMismatch, SpannerResult,
+    analyze_redundancy, answer_queries_on, build_cluster_graph, run_phases, Balls, ClusterCover,
+    Phase, PhaseSteps, PhaseTiming, PointCountMismatch, SpannerResult,
 };
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
 use tc_geometry::PointAccess;
-use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, Edge, WeightedGraph};
+use tc_graph::bucket::BucketConfig;
+use tc_graph::{CsrGraph, Edge, NodeId, WeightedGraph};
 use tc_simnet::{log2_ceil, log_star, mis, CommStats, RoundLedger};
 use tc_ubg::UnitBallGraph;
-
-/// Sources per parallel work item of the J-graph construction sweep.
-/// Fixed (and independent of the thread count) so the derived graph is
-/// bitwise identical no matter how many workers run.
-const J_SWEEP_CHUNK: usize = 4096;
 
 /// Which distributed MIS protocol stands in for the paper's
 /// Kuhn–Moscibroda–Wattenhofer black box.
@@ -153,10 +148,17 @@ impl DistributedRelaxedGreedy {
 
     /// Runs the distributed construction on a realised α-UBG.
     pub fn run(&self, ubg: &UnitBallGraph) -> DistributedSpannerResult {
+        self.run_timed(ubg).0
+    }
+
+    /// Runs the distributed construction on a realised α-UBG, additionally
+    /// recording per-phase wall-clock timings of the message-passing steps
+    /// (see [`PhaseTiming`] for why timings live outside the result).
+    pub fn run_timed(&self, ubg: &UnitBallGraph) -> (DistributedSpannerResult, Vec<PhaseTiming>) {
         let graph = self.weighting.weighted_graph(ubg);
         // weighted_graph() derives the graph from ubg.points(), so the
         // counts agree by construction.
-        self.run_on(ubg.points(), &graph)
+        self.run_on_timed(ubg.points(), &graph)
             // tc-lint: allow(panic-hygiene)
             .expect("the UBG's own points match its graph by construction")
     }
@@ -173,12 +175,22 @@ impl DistributedRelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<DistributedSpannerResult, PointCountMismatch> {
+        Ok(self.run_on_timed(points, graph)?.0)
+    }
+
+    fn run_on_timed<P: PointAccess + ?Sized>(
+        &self,
+        points: &P,
+        graph: &WeightedGraph,
+    ) -> Result<(DistributedSpannerResult, Vec<PhaseTiming>), PointCountMismatch> {
         let mut steps = MessagePassingSteps {
             mis_protocol: self.mis_protocol,
-            ..Default::default()
+            ledger: RoundLedger::default(),
+            cover: ClusterCover::default(),
+            h: CsrGraph::new(0),
         };
         let mechanisms = AblationConfig::full();
-        let (result, _) = run_phases(
+        let (result, timings) = run_phases(
             points,
             graph,
             &self.params,
@@ -189,7 +201,7 @@ impl DistributedRelaxedGreedy {
         let ledger = steps.ledger;
         let total = ledger.total();
         let n = graph.node_count();
-        Ok(DistributedSpannerResult {
+        let out = DistributedSpannerResult {
             result,
             rounds: total.rounds,
             messages: total.messages,
@@ -197,20 +209,20 @@ impl DistributedRelaxedGreedy {
             log_n: log2_ceil(n),
             log_star_n: log_star(n),
             ledger,
-        })
+        };
+        Ok((out, timings))
     }
 }
 
 /// The message-passing steps (Sections 3.2.1–3.2.5). Each computes its
 /// data centrally and charges `ledger` for the communication the paper's
 /// local protocol needs.
-#[derive(Default)]
 struct MessagePassingSteps {
     mis_protocol: MisProtocol,
     ledger: RoundLedger,
     cover: ClusterCover,
     /// The full cluster graph `H_{i-1}` of the current phase.
-    h: WeightedGraph,
+    h: CsrGraph,
 }
 
 impl MessagePassingSteps {
@@ -246,37 +258,22 @@ impl PhaseSteps for MessagePassingSteps {
     fn cover(&mut self, spanner: &WeightedGraph, phase: &Phase) -> &ClusterCover {
         let radius = phase.radius;
         let n = spanner.node_count();
-        let spanner_config = BucketConfig::for_graph(spanner);
-        // Each source's J-neighbours come from a radius-bounded visitor
-        // sweep — O(nodes reached) per source, never O(n) — fanned over
-        // TC_THREADS workers in fixed chunks. Sorting each chunk and
-        // merging in chunk order reproduces the sequential (u, v)
-        // insertion order exactly, for any thread count.
-        let chunks: Vec<(usize, usize)> = (0..n)
-            .step_by(J_SWEEP_CHUNK)
-            .map(|start| (start, (start + J_SWEEP_CHUNK).min(n)))
-            .collect();
-        let per_chunk: Vec<Vec<(usize, usize)>> = par::par_map_with(
-            &chunks,
-            0,
-            BucketScratch::new,
-            |scratch, _idx, &(start, end)| {
-                let mut local: Vec<(usize, usize)> = Vec::new();
-                for u in start..end {
-                    scratch.for_each_within(spanner, u, radius, &spanner_config, |v, _d| {
-                        if v > u {
-                            local.push((u, v));
-                        }
-                    });
-                }
-                local.sort_unstable();
-                local
-            },
-        );
-        let j_edges = per_chunk.into_iter().flatten();
-        let j_graph = WeightedGraph::from_edges(n, j_edges.map(|(u, v)| Edge::new(u, v, 1.0)));
+        // One radius-bounded sweep per node gives its J-neighbours, and the
+        // centres' sweeps are the balls they attach: O(nodes reached) per
+        // node, never O(n), in one flat buffer.
+        let nodes: Vec<NodeId> = (0..n).collect();
+        let config = BucketConfig::for_graph(spanner);
+        let balls = Balls::sweep(spanner, &nodes, radius, &config, |v| Some(v as u32));
+        let j_edges = nodes.iter().flat_map(|&u| {
+            balls
+                .row(u)
+                .iter()
+                .filter(move |&&(v, _)| v as NodeId > u)
+                .map(move |&(v, _)| Edge::new(u, v as NodeId, 1.0))
+        });
+        let j_graph = WeightedGraph::from_edges(n, j_edges);
         let mis_result = self.run_mis(&j_graph);
-        self.cover = ClusterCover::from_centers(spanner, &mis_result.mis, radius);
+        self.cover = ClusterCover::from_balls(&balls, &mis_result.mis, radius);
         let cover_gather_hops = hops_for(phase, radius);
         self.ledger
             .charge_rounds(label(phase, "cover/gather"), cover_gather_hops);
@@ -319,7 +316,8 @@ impl PhaseSteps for MessagePassingSteps {
     fn redundant(&mut self, phase: &Phase, added: &[Edge]) -> Vec<usize> {
         // The phase's H is not needed after this analysis; taking it frees
         // it before the next phase builds its own.
-        let analysis = analyze_redundancy(added, &std::mem::take(&mut self.h), phase.params.t1);
+        let h = std::mem::replace(&mut self.h, CsrGraph::new(0));
+        let analysis = analyze_redundancy(added, &h, phase.params.t1);
         let removals = analysis.removals(|conflicts| {
             let conflict_mis = self.run_mis(conflicts);
             let rounds = conflict_mis.stats.rounds * query_answer_hops(phase);
@@ -427,6 +425,37 @@ mod tests {
         let out = DistributedRelaxedGreedy::new(params).run(&empty);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.result.spanner.node_count(), 0);
+    }
+
+    #[test]
+    fn run_timed_reports_one_consistent_timing_per_phase() {
+        let ubg = uniform_ubg(23, 120, 3.0, 0.8);
+        let params = SpannerParams::for_epsilon(1.0, 0.8).unwrap();
+        let construction = DistributedRelaxedGreedy::new(params);
+        let (out, timings) = construction.run_timed(&ubg);
+        let bins: Vec<usize> = out.result.phases.iter().map(|p| p.bin).collect();
+        assert_eq!(timings.iter().map(|t| t.bin).collect::<Vec<_>>(), bins);
+        assert!(timings.len() > 1);
+        for t in &timings {
+            let steps = t.cover_seconds
+                + t.selection_seconds
+                + t.h_build_seconds
+                + t.query_seconds
+                + t.redundant_seconds;
+            assert!(
+                steps <= t.seconds,
+                "bin {}: steps {steps}s over the phase's {}s",
+                t.bin,
+                t.seconds
+            );
+        }
+        // Timing is beside the output, never inside it.
+        let plain = construction.run(&ubg);
+        assert_eq!(
+            plain.result.spanner.sorted_edges(),
+            out.result.spanner.sorted_edges()
+        );
+        assert_eq!((plain.rounds, plain.messages), (out.rounds, out.messages));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! hop count of the relevant shortest paths by a constant — that is what
 //! makes the per-edge spanner-path queries answerable in `O(1)` rounds.
 
-use super::cover::ClusterCover;
-use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, WeightedGraph};
+use super::cover::{Balls, ClusterCover};
+use tc_graph::bucket::BucketConfig;
+use tc_graph::{CsrGraph, Edge, NodeId, WeightedGraph};
 
 /// Statistics about a constructed cluster graph, used by tests and by the
 /// experiment that checks Lemma 6's constant bound on inter-cluster degree.
@@ -35,115 +35,367 @@ pub struct ClusterGraphStats {
 /// cover. `w_prev` is `W_{i-1}` (the upper weight threshold of the previous
 /// bin) and `delta` the cluster-radius fraction.
 ///
-/// Returns the graph together with construction statistics.
+/// Returns the graph, frozen as CSR for the phase's queries, together with
+/// construction statistics.
+///
+/// Every candidate edge goes into one flat list, in a fixed priority
+/// order: the intra-cluster edges by member, then condition (i) by
+/// cluster pair, then condition (ii) in `spanner.edges()` order. Where a
+/// pair of nodes appears more than once, the first candidate's weight is
+/// kept. The weights are exact shortest-path sums, and the distance from
+/// `a` to `b` can differ in the last bit from the distance from `b` to
+/// `a`, so this order is part of the output.
 pub fn build_cluster_graph(
     spanner: &WeightedGraph,
     cover: &ClusterCover,
     w_prev: f64,
     delta: f64,
-) -> (WeightedGraph, ClusterGraphStats) {
+) -> (CsrGraph, ClusterGraphStats) {
     let n = spanner.node_count();
-    let mut h = WeightedGraph::new(n);
-    let mut stats = ClusterGraphStats::default();
+    let centers = cover.centers();
+    let mut center_index: Vec<u32> = vec![u32::MAX; n];
+    for (i, &a) in centers.iter().enumerate() {
+        center_index[a] = i as u32;
+    }
+
+    // Lemma 5 bounds the weight of any inter-cluster edge by
+    // (2δ+1)·W_{i-1}, so a search bounded by that radius from each centre
+    // discovers every distance we might need. Each sweep records only the
+    // *centres* it reaches, keyed by cluster id — O(reached) per centre,
+    // all in one flat buffer.
+    let reach = (2.0 * delta + 1.0) * w_prev;
+    let config = BucketConfig::for_graph(spanner);
+    let center_reach = Balls::sweep(spanner, centers, reach, &config, |v| {
+        let ci = center_index[v];
+        (ci != u32::MAX).then_some(ci)
+    });
 
     // Intra-cluster edges: centre -> member, weight = sp distance recorded
     // by the cover construction.
-    for v in 0..n {
-        let center = cover.center_of(v);
-        if center != v {
-            h.add_edge(center, v, cover.dist_to_center(v));
-            stats.intra_edges += 1;
-        }
-    }
-
-    // Inter-cluster edges. Lemma 5 bounds the weight of any inter-cluster
-    // edge by (2δ+1)·W_{i-1}, so a search bounded by that radius from each
-    // centre discovers every distance we might need. Each sweep records
-    // only the *centres* it reaches, as a sparse sorted list — O(reached)
-    // memory per centre instead of an O(n) distance vector — and the
-    // sweeps fan out over `TC_THREADS` workers with one reusable scratch
-    // each; merging in centre order keeps the replay deterministic.
-    let reach = (2.0 * delta + 1.0) * w_prev;
-    let centers = cover.centers();
-    let mut center_index: Vec<usize> = vec![usize::MAX; n];
-    for (i, &a) in centers.iter().enumerate() {
-        center_index[a] = i;
-    }
-    let config = BucketConfig::for_graph(spanner);
-    let center_reach: Vec<Vec<(usize, f64)>> =
-        par::par_map_with(centers, 0, BucketScratch::new, |scratch, _idx, &a| {
-            let mut reached: Vec<(usize, f64)> = Vec::new();
-            scratch.for_each_within(spanner, a, reach, &config, |v, d| {
-                let ci = center_index[v];
-                if ci != usize::MAX {
-                    reached.push((ci, d));
-                }
-            });
-            // Each centre is visited at most once, so cluster ids are
-            // unique keys and the sorted list is independent of the
-            // (unspecified) visit order.
-            reached.sort_unstable_by_key(|&(ci, _)| ci);
-            reached
-        });
-    let add_inter = |h: &mut WeightedGraph,
-                     stats: &mut ClusterGraphStats,
-                     ca: usize,
-                     cb: usize,
-                     weight: f64| {
-        let (a, b) = (centers[ca], centers[cb]);
-        if a != b && !h.has_edge(a, b) {
-            h.add_edge(a, b, weight);
-            stats.inter_edges += 1;
+    let mut candidates: Vec<Edge> = (0..n)
+        .filter(|&v| cover.center_of(v) != v)
+        .map(|v| Edge::new(cover.center_of(v), v, cover.dist_to_center(v)))
+        .collect();
+    let intra = candidates.len();
+    // A cover built from a centre list with repeats has two clusters
+    // around one node; they are never joined to each other.
+    let mut push_inter = |a: NodeId, b: NodeId, d: f64| {
+        if a != b {
+            candidates.push(Edge::new(a, b, d));
         }
     };
 
     // Condition (i): centres within distance W_{i-1} of each other.
-    for (ca, reached) in center_reach.iter().enumerate() {
-        for &(cb, d) in reached {
-            if cb > ca && d <= w_prev {
-                add_inter(&mut h, &mut stats, ca, cb, d);
+    for (ca, &a) in centers.iter().enumerate() {
+        for &(cb, d) in center_reach.row(ca) {
+            if cb as usize > ca && d <= w_prev {
+                push_inter(a, centers[cb as usize], d);
             }
         }
     }
 
-    // Condition (ii): an edge of the spanner crossing two clusters.
+    // Condition (ii): an edge of the spanner crossing two clusters,
+    // weighted from the row of `e.u`'s cluster.
     for e in spanner.edges() {
         let (ca, cb) = (cover.cluster_of(e.u), cover.cluster_of(e.v));
         if ca == cb {
             continue;
         }
-        let (a, b) = (centers[ca], centers[cb]);
-        if h.has_edge(a, b) {
-            continue;
-        }
-        let d = center_reach[ca]
-            .binary_search_by_key(&cb, |&(ci, _)| ci)
-            .ok()
-            .map(|pos| center_reach[ca][pos].1)
+        let row = center_reach.row(ca);
+        let d = match row.binary_search_by_key(&(cb as u32), |&(ci, _)| ci) {
+            Ok(pos) => row[pos].1,
             // Lemma 5 guarantees the distance is within the bounded reach;
             // fall back to the triangle-inequality upper bound if a
             // floating-point boundary put it just outside.
-            .unwrap_or(cover.dist_to_center(e.u) + e.weight + cover.dist_to_center(e.v));
-        add_inter(&mut h, &mut stats, ca, cb, d);
+            Err(_) => cover.dist_to_center(e.u) + e.weight + cover.dist_to_center(e.v),
+        };
+        push_inter(centers[ca], centers[cb], d);
     }
+    // Freed before the deduplication and the CSR build, which would
+    // otherwise stack on top of the rows at the phase's memory peak.
+    drop(center_reach);
 
-    // Max inter-cluster degree (Lemma 6's constant).
-    for &a in centers {
-        let inter = h
-            .neighbors(a)
-            .iter()
-            .filter(|&&(v, _)| cover.center_of(v) == v && v != a)
-            .count();
-        stats.max_inter_degree = stats.max_inter_degree.max(inter);
+    let keep = first_occurrences(n, &candidates);
+    let mut stats = ClusterGraphStats {
+        intra_edges: keep[..intra].iter().filter(|&&k| k).count(),
+        inter_edges: keep[intra..].iter().filter(|&&k| k).count(),
+        max_inter_degree: 0,
+    };
+    let mut edges = Vec::with_capacity(stats.intra_edges + stats.inter_edges);
+    edges.extend(
+        candidates
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(e, k)| k.then_some(e)),
+    );
+    // Lemma 6's constant: per centre, the H-neighbours that are centres of
+    // their own clusters.
+    let is_own_center = |v: NodeId| cover.center_of(v) == v;
+    let mut inter_degree = vec![0usize; centers.len()];
+    for e in &edges {
+        for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+            let ci = center_index[x];
+            if ci != u32::MAX && is_own_center(y) {
+                inter_degree[ci as usize] += 1;
+            }
+        }
     }
+    stats.max_inter_degree = inter_degree.into_iter().max().unwrap_or(0);
 
-    (h, stats)
+    (CsrGraph::from_edges(n, edges), stats)
+}
+
+/// Which candidates to keep: the first occurrence of every node pair
+/// ([`Edge::new`] orders the endpoints, so `(u, v)` is the pair's key). A
+/// stable counting sort by `u` groups each pair's occurrences in index
+/// order, so one "last group seen" stamp per `v` finds the first of each
+/// — O(n + candidates), no comparison sort.
+fn first_occurrences(n: usize, candidates: &[Edge]) -> Vec<bool> {
+    let mut start = vec![0usize; n + 1];
+    for e in candidates {
+        start[e.u + 1] += 1;
+    }
+    for i in 1..=n {
+        start[i] += start[i - 1];
+    }
+    let mut cursor = start.clone();
+    let mut by_u = vec![0usize; candidates.len()];
+    for (k, e) in candidates.iter().enumerate() {
+        by_u[cursor[e.u]] = k;
+        cursor[e.u] += 1;
+    }
+    let mut seen_with: Vec<usize> = vec![usize::MAX; n];
+    let mut keep = vec![false; candidates.len()];
+    for u in 0..n {
+        for &k in &by_u[start[u]..start[u + 1]] {
+            let v = candidates[k].v;
+            if seen_with[v] != u {
+                seen_with[v] = u;
+                keep[k] = true;
+            }
+        }
+    }
+    keep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use tc_graph::bucket::BucketScratch;
     use tc_graph::dijkstra::shortest_path_to;
+    use tc_graph::GraphView;
+
+    /// The adjacency-list builder the flat one replaced, kept as the
+    /// oracle: every edge goes through `has_edge`/`add_edge` on a
+    /// `WeightedGraph`, so the first weight added for a pair stays.
+    fn oracle(
+        spanner: &WeightedGraph,
+        cover: &ClusterCover,
+        w_prev: f64,
+        delta: f64,
+    ) -> (WeightedGraph, ClusterGraphStats) {
+        let n = spanner.node_count();
+        let mut h = WeightedGraph::new(n);
+        let mut stats = ClusterGraphStats::default();
+        for v in 0..n {
+            let center = cover.center_of(v);
+            if center != v {
+                h.add_edge(center, v, cover.dist_to_center(v));
+                stats.intra_edges += 1;
+            }
+        }
+        let reach = (2.0 * delta + 1.0) * w_prev;
+        let centers = cover.centers();
+        let mut center_index: Vec<usize> = vec![usize::MAX; n];
+        for (i, &a) in centers.iter().enumerate() {
+            center_index[a] = i;
+        }
+        let config = BucketConfig::for_graph(spanner);
+        let mut scratch = BucketScratch::new();
+        let center_reach: Vec<Vec<(usize, f64)>> = centers
+            .iter()
+            .map(|&a| {
+                let mut reached = Vec::new();
+                scratch.for_each_within(spanner, a, reach, &config, |v, d| {
+                    if center_index[v] != usize::MAX {
+                        reached.push((center_index[v], d));
+                    }
+                });
+                reached.sort_unstable_by_key(|&(ci, _)| ci);
+                reached
+            })
+            .collect();
+        let mut add_inter = |h: &mut WeightedGraph, ca: usize, cb: usize, weight: f64| {
+            let (a, b) = (centers[ca], centers[cb]);
+            if a != b && !h.has_edge(a, b) {
+                h.add_edge(a, b, weight);
+                stats.inter_edges += 1;
+            }
+        };
+        for (ca, reached) in center_reach.iter().enumerate() {
+            for &(cb, d) in reached {
+                if cb > ca && d <= w_prev {
+                    add_inter(&mut h, ca, cb, d);
+                }
+            }
+        }
+        for e in spanner.edges() {
+            let (ca, cb) = (cover.cluster_of(e.u), cover.cluster_of(e.v));
+            if ca == cb || h.has_edge(centers[ca], centers[cb]) {
+                continue;
+            }
+            let d = center_reach[ca]
+                .binary_search_by_key(&cb, |&(ci, _)| ci)
+                .map_or(
+                    cover.dist_to_center(e.u) + e.weight + cover.dist_to_center(e.v),
+                    |pos| center_reach[ca][pos].1,
+                );
+            add_inter(&mut h, ca, cb, d);
+        }
+        for &a in centers {
+            let inter = h
+                .neighbors(a)
+                .iter()
+                .filter(|&&(v, _)| cover.center_of(v) == v && v != a)
+                .count();
+            stats.max_inter_degree = stats.max_inter_degree.max(inter);
+        }
+        (h, stats)
+    }
+
+    /// The edge set with weights as bits, canonically sorted.
+    fn edge_bits<G: GraphView>(g: &G) -> Vec<(usize, usize, u64)> {
+        let mut edges: Vec<_> = g
+            .collect_edges()
+            .into_iter()
+            .map(|e| (e.u, e.v, e.weight.to_bits()))
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    /// The flat builder reproduces the oracle: same edges, bitwise
+    /// weights, same statistics.
+    fn assert_matches_oracle(g: &WeightedGraph, cover: &ClusterCover, w_prev: f64, delta: f64) {
+        let (h, stats) = build_cluster_graph(g, cover, w_prev, delta);
+        let (want, want_stats) = oracle(g, cover, w_prev, delta);
+        assert_eq!(edge_bits(&h), edge_bits(&want));
+        assert_eq!(stats, want_stats);
+    }
+
+    /// A cover from a maximal independent set of the "within `radius`"
+    /// graph J, attached through the balls that derived J — the
+    /// distributed cover step's shape.
+    fn mis_of_j_cover(g: &WeightedGraph, radius: f64) -> ClusterCover {
+        let n = g.node_count();
+        let nodes: Vec<NodeId> = (0..n).collect();
+        let config = BucketConfig::for_graph(g);
+        let balls = Balls::sweep(g, &nodes, radius, &config, |v| Some(v as u32));
+        let j = WeightedGraph::from_edges(
+            n,
+            (0..n).flat_map(|u| {
+                balls
+                    .row(u)
+                    .iter()
+                    .filter(move |&&(v, _)| v as usize > u)
+                    .map(move |&(v, _)| Edge::new(u, v as usize, 1.0))
+            }),
+        );
+        ClusterCover::from_balls(&balls, &tc_graph::mis::greedy_mis(&j), radius)
+    }
+
+    /// Path 0 - 1 - 2 - 3 weighted 0.1, 0.2, 0.3, whose end-to-end
+    /// distance depends on the direction of summation:
+    /// (0.1 + 0.2) + 0.3 = 0.6000000000000001 but (0.3 + 0.2) + 0.1 = 0.6.
+    /// Centres 3 (cluster 0, with node 2) and 0 (cluster 1, with node 1):
+    /// the one crossing edge {1, 2} runs from cluster 1 to cluster 0, the
+    /// reverse of the cluster order.
+    fn reversed_pair() -> (WeightedGraph, ClusterCover) {
+        let mut g = WeightedGraph::new(4);
+        g.add_edge(0, 1, 0.1);
+        g.add_edge(1, 2, 0.2);
+        g.add_edge(2, 3, 0.3);
+        let cover = ClusterCover::from_centers(&g, &[3, 0], 0.3);
+        assert_eq!((cover.cluster_of(1), cover.cluster_of(2)), (1, 0));
+        (g, cover)
+    }
+
+    #[test]
+    fn a_reversed_crossing_edge_takes_its_weight_from_the_row_of_its_first_endpoint() {
+        // W_{i-1} = 0.5 < sp(0, 3): no condition-(i) edge, so {0, 3} comes
+        // from condition (ii) alone, weighted from the row of cluster_of(1),
+        // i.e. the sweep from centre 0.
+        let (g, cover) = reversed_pair();
+        let (h, _) = build_cluster_graph(&g, &cover, 0.5, 0.2);
+        assert_eq!(h.edge_weight(0, 3), Some(0.1 + 0.2 + 0.3));
+        assert_ne!(0.1 + 0.2 + 0.3, 0.3 + 0.2 + 0.1);
+        assert_matches_oracle(&g, &cover, 0.5, 0.2);
+    }
+
+    #[test]
+    fn the_first_candidate_for_a_pair_keeps_its_weight() {
+        // W_{i-1} = 0.65 >= sp(3, 0) = 0.6: condition (i) adds {0, 3} from
+        // the row of cluster 0 (centre 3) first; condition (ii) then offers
+        // the same pair with the other direction's sum, which must lose.
+        let (g, cover) = reversed_pair();
+        let (h, _) = build_cluster_graph(&g, &cover, 0.65, 0.2);
+        assert_eq!(h.edge_weight(0, 3), Some(0.3 + 0.2 + 0.1));
+        assert_matches_oracle(&g, &cover, 0.65, 0.2);
+    }
+
+    #[test]
+    fn an_out_of_reach_crossing_edge_takes_the_triangle_fallback() {
+        // Singleton clusters and a reach of (2·0.1 + 1)·0.3 = 0.36 below
+        // the unit edge weights: no sweep sees the other centre, so every
+        // condition-(ii) weight is the triangle bound 0 + w + 0.
+        let mut g = WeightedGraph::new(3);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, 1.5);
+        let cover = ClusterCover::greedy(&g, 0.0);
+        let (h, stats) = build_cluster_graph(&g, &cover, 0.3, 0.1);
+        assert_eq!(h.edge_weight(0, 1), Some(1.0));
+        assert_eq!(h.edge_weight(1, 2), Some(1.5));
+        assert_eq!(stats.inter_edges, 2);
+        assert_matches_oracle(&g, &cover, 0.3, 0.1);
+    }
+
+    #[test]
+    fn repeated_centres_are_never_joined_to_themselves() {
+        // Two clusters around node 1: the crossing edges meet the same
+        // centre on both sides, which must not become a self-loop.
+        let (g, _) = setup();
+        let cover = ClusterCover::from_centers(&g, &[1, 1, 5], 0.15);
+        assert_matches_oracle(&g, &cover, 0.3, 0.5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// On random weighted graphs, with greedy and MIS-of-J covers, the
+        /// flat builder and the adjacency-list oracle agree exactly.
+        #[test]
+        fn flat_builder_matches_the_adjacency_list_oracle(
+            seed in 0u64..1_000,
+            n in 2usize..40,
+            p in 0.05f64..0.5,
+            w_prev in 0.2f64..1.5,
+            delta in 0.05f64..0.5,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = WeightedGraph::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if rng.gen_bool(p) {
+                        g.add_edge(u, v, rng.gen_range(0.01..1.0));
+                    }
+                }
+            }
+            let radius = delta * w_prev;
+            assert_matches_oracle(&g, &ClusterCover::greedy(&g, radius), w_prev, delta);
+            assert_matches_oracle(&g, &mis_of_j_cover(&g, radius), w_prev, delta);
+        }
+    }
 
     /// A path with unit-ish weights, clustered with a small radius.
     fn setup() -> (WeightedGraph, ClusterCover) {

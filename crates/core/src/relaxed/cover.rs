@@ -9,7 +9,7 @@
 //! `G'_{i-1}` with radius `δ·W_{i-1}`.
 
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{NodeId, WeightedGraph};
+use tc_graph::{par, NodeId, WeightedGraph};
 
 /// A cluster cover with a unique cluster assignment per node.
 ///
@@ -93,27 +93,52 @@ impl ClusterCover {
     /// *highest identifier*, mirroring the paper's tie-breaking rule; nodes
     /// no centre reaches become singleton clusters of their own (this can
     /// only happen if `centers` was not maximal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius < 0` or a centre is out of range.
     pub fn from_centers(graph: &WeightedGraph, centers: &[NodeId], radius: f64) -> Self {
+        let config = BucketConfig::for_graph(graph);
+        let mut scratch = BucketScratch::new();
+        Self::attach(graph.node_count(), centers, radius, |c, reached| {
+            scratch.for_each_within(graph, c, radius, &config, reached);
+        })
+    }
+
+    /// [`ClusterCover::from_centers`] with the balls already swept: row `c`
+    /// of `balls` must hold, keyed by node id, every node within `radius`
+    /// of node `c` in the cover's graph (as [`Balls::sweep`] over all
+    /// nodes at that radius records it). The distributed cover step sweeps
+    /// those balls once to derive its MIS graph and attaches from the same
+    /// visits instead of sweeping again from each centre.
+    pub(crate) fn from_balls(balls: &Balls, centers: &[NodeId], radius: f64) -> Self {
+        Self::attach(balls.len(), centers, radius, |c, reached| {
+            for &(v, d) in balls.row(c) {
+                reached(v as NodeId, d);
+            }
+        })
+    }
+
+    /// The one attachment rule behind both constructors: `ball(c, reached)`
+    /// calls `reached(v, d)` for every node `v` within `radius` of centre
+    /// `c`, at distance `d`. Highest-identifier-wins is independent of the
+    /// visit order, and of the order of `centers`.
+    fn attach(
+        n: usize,
+        centers: &[NodeId],
+        radius: f64,
+        mut ball: impl FnMut(NodeId, &mut dyn FnMut(NodeId, f64)),
+    ) -> Self {
         assert!(radius >= 0.0, "the cluster radius must be non-negative");
-        let n = graph.node_count();
         let mut all_centers: Vec<NodeId> = centers.to_vec();
         let mut cluster_of = vec![usize::MAX; n];
         let mut dist_to_center = vec![f64::INFINITY; n];
-        let mut best_center: Vec<Option<(NodeId, f64)>> = vec![None; n];
-        let config = BucketConfig::for_graph(graph);
-        let mut scratch = BucketScratch::new();
+        let mut owner: Vec<Option<NodeId>> = vec![None; n];
         for (idx, &c) in centers.iter().enumerate() {
             assert!(c < n, "cluster centre {c} is out of range");
-            // Highest-identifier-wins is independent of the visit order
-            // within a sweep, so the bounded visitor keeps the assignment
-            // identical to the dense-vector formulation.
-            scratch.for_each_within(graph, c, radius, &config, |v, d| {
-                let better = match best_center[v] {
-                    None => true,
-                    Some((current, _)) => c > current,
-                };
-                if better {
-                    best_center[v] = Some((c, d));
+            ball(c, &mut |v, d| {
+                if owner[v].is_none_or(|current| c > current) {
+                    owner[v] = Some(c);
                     cluster_of[v] = idx;
                     dist_to_center[v] = d;
                 }
@@ -215,6 +240,96 @@ impl ClusterCover {
     }
 }
 
+/// Sources per parallel work item of [`Balls::sweep`]. Fixed (and
+/// independent of the thread count) so the swept rows are bitwise
+/// identical no matter how many workers run.
+const SWEEP_CHUNK: usize = 4096;
+
+/// Radius-bounded balls around a list of sources, in flat buffers: row
+/// `i` holds the `(key, distance)` pairs of the nodes the sweep from
+/// source `i` reached, sorted by key.
+#[derive(Debug)]
+pub(crate) struct Balls {
+    /// One chunk per `SWEEP_CHUNK` consecutive sources, as swept.
+    chunks: Vec<BallChunk>,
+    len: usize,
+}
+
+/// The rows of one chunk of sources: row `j` is
+/// `entries[ends[j - 1]..ends[j]]` (from 0 for `j = 0`).
+#[derive(Debug)]
+struct BallChunk {
+    ends: Vec<usize>,
+    entries: Vec<(u32, f64)>,
+}
+
+impl Balls {
+    /// One bounded visitor sweep of radius `radius` per source, keeping
+    /// the visited nodes `key` maps to `Some` under that key. `key` must
+    /// be injective, so each row's keys are unique and the sorted row is
+    /// independent of the (unspecified) visit order. The sweeps cost
+    /// O(nodes reached) each and fan out over `TC_THREADS` workers in
+    /// fixed chunks of sources, each writing its own buffer, so the rows
+    /// do not depend on the thread count.
+    pub(crate) fn sweep(
+        graph: &WeightedGraph,
+        sources: &[NodeId],
+        radius: f64,
+        config: &BucketConfig,
+        key: impl Fn(NodeId) -> Option<u32> + Sync,
+    ) -> Self {
+        let source_chunks: Vec<&[NodeId]> = sources.chunks(SWEEP_CHUNK).collect();
+        let chunks = par::par_map_with(
+            &source_chunks,
+            0,
+            BucketScratch::new,
+            |scratch, _idx, chunk| {
+                let mut part = BallChunk {
+                    ends: Vec::with_capacity(chunk.len()),
+                    entries: Vec::new(),
+                };
+                for &s in *chunk {
+                    let start = part.entries.len();
+                    let mut reached = |v, d| {
+                        if let Some(k) = key(v) {
+                            part.entries.push((k, d));
+                        }
+                    };
+                    // A sweep relaxes an edge of the source only when its
+                    // weight is within the radius, so a source without
+                    // such an edge reaches itself alone — in early phases
+                    // almost every node of the partial spanner.
+                    if graph.neighbors(s).iter().all(|&(_, w)| w > radius) {
+                        reached(s, 0.0);
+                    } else {
+                        scratch.for_each_within(graph, s, radius, config, reached);
+                        part.entries[start..].sort_unstable_by_key(|&(k, _)| k);
+                    }
+                    part.ends.push(part.entries.len());
+                }
+                part
+            },
+        );
+        Balls {
+            chunks,
+            len: sources.len(),
+        }
+    }
+
+    /// Number of rows (one per source).
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The sorted `(key, distance)` row of source `i`.
+    pub(crate) fn row(&self, i: usize) -> &[(u32, f64)] {
+        let chunk = &self.chunks[i / SWEEP_CHUNK];
+        let j = i % SWEEP_CHUNK;
+        let start = if j == 0 { 0 } else { chunk.ends[j - 1] };
+        &chunk.entries[start..chunk.ends[j]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +418,22 @@ mod tests {
     }
 
     #[test]
+    fn trivial_balls_hold_the_source_alone() {
+        // Node 2's only edge is heavier than the radius, so its ball is
+        // recorded without a sweep; node 3 is isolated.
+        let mut g = WeightedGraph::new(4);
+        g.add_edge(0, 1, 0.5);
+        g.add_edge(1, 2, 2.0);
+        let nodes: Vec<NodeId> = (0..4).collect();
+        let config = BucketConfig::for_graph(&g);
+        let balls = Balls::sweep(&g, &nodes, 1.0, &config, |v| Some(v as u32));
+        assert_eq!(balls.len(), 4);
+        assert_eq!(balls.row(0), &[(0, 0.0), (1, 0.5)]);
+        assert_eq!(balls.row(2), &[(2, 0.0)]);
+        assert_eq!(balls.row(3), &[(3, 0.0)]);
+    }
+
+    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_radius_rejected() {
         let g = path_graph(3, 1.0);
@@ -329,6 +460,28 @@ mod tests {
             }
             let cover = ClusterCover::greedy(&g, radius);
             prop_assert!(cover.is_valid_cover(&g));
+            // The swept balls (one per node, keyed by node id) are exactly
+            // the scratch sweeps, and attaching through them is exactly
+            // from_centers.
+            let nodes: Vec<NodeId> = (0..n).collect();
+            let config = BucketConfig::for_graph(&g);
+            let balls = Balls::sweep(&g, &nodes, radius, &config, |v| Some(v as u32));
+            let mut scratch = BucketScratch::new();
+            for u in 0..n {
+                let mut want: Vec<(u32, u64)> = Vec::new();
+                scratch.for_each_within(&g, u, radius, &config, |v, d| want.push((v as u32, d.to_bits())));
+                want.sort_unstable();
+                let got: Vec<(u32, u64)> = balls.row(u).iter().map(|&(v, d)| (v, d.to_bits())).collect();
+                prop_assert_eq!(got, want);
+            }
+            let centers: Vec<NodeId> = cover.centers().iter().copied().rev().collect();
+            let swept = ClusterCover::from_centers(&g, &centers, radius);
+            let from_balls = ClusterCover::from_balls(&balls, &centers, radius);
+            prop_assert_eq!(swept.centers(), from_balls.centers());
+            for v in 0..n {
+                prop_assert_eq!(swept.cluster_of(v), from_balls.cluster_of(v));
+                prop_assert_eq!(swept.dist_to_center(v).to_bits(), from_balls.dist_to_center(v).to_bits());
+            }
             // Centres are exactly the nodes assigned to themselves at distance 0.
             for (c, &center) in cover.centers().iter().enumerate() {
                 prop_assert_eq!(cover.cluster_of(center), c);

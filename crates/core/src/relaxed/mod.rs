@@ -49,6 +49,7 @@ mod redundant;
 
 pub use bins::BinPartition;
 pub use cluster_graph::{build_cluster_graph, ClusterGraphStats};
+pub(crate) use cover::Balls;
 pub use cover::ClusterCover;
 pub(crate) use driver::{run_phases, Phase, PhaseSteps};
 pub(crate) use query::answer_queries_on;
@@ -114,9 +115,9 @@ pub struct PhaseTiming {
     /// Step (ii): query-edge selection (0 for phase 0).
     pub selection_seconds: f64,
     /// Step (iii): taking the cluster graph for the phase's queries (0 for
-    /// phase 0). The quotient is frozen into CSR once per cover level, in
-    /// step (i), so this step is now O(1); the field is kept so recorded
-    /// timings stay comparable with runs that froze every phase.
+    /// phase 0). The phase engine freezes its quotient into CSR once per
+    /// cover level, in step (i), so there this step is O(1); the
+    /// distributed and ablation steps build the full `H_{i-1}` here.
     pub h_build_seconds: f64,
     /// Step (iv): answering the spanner-path queries (0 for phase 0).
     pub query_seconds: f64,

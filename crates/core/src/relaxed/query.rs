@@ -40,10 +40,13 @@ pub struct QuerySelection {
 /// and `|uz| ≤ |uv|` is checked on the edge weights, which every
 /// weighting orders exactly like the Euclidean lengths.
 ///
-/// A zero-length witness `{u, z}` never covers: `z` coincides with `u`, so
-/// `{v, z}` is as long as `{u, v}` itself. It falls in the same bin and
-/// can be filtered by the mirrored witness `{z, u}` in turn, which would
-/// leave neither edge a spanner path.
+/// A witness `{u, z}` with `|uz| ≤ f64::EPSILON` never covers. At zero
+/// length `z` coincides with `u`, so `{v, z}` is as long as `{u, v}`
+/// itself. It falls in the same bin and can be filtered by the mirrored
+/// witness `{z, u}` in turn, which would leave neither edge a spanner
+/// path. Distinct points closer than `f64::EPSILON` (possible near the
+/// origin) are the same trap: the angle at `u` is then degenerate and
+/// `angle_at_indices` reads it as 0, whatever the direction of `z`.
 pub fn is_covered<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
@@ -58,16 +61,17 @@ pub fn is_covered<P: PointAccess + ?Sized>(
             if z == v {
                 continue;
             }
-            // Lemma 3 needs 0 < |uz| <= |uv| (see above), |vz| <= alpha so
-            // that {v, z} is guaranteed to be an edge of the alpha-UBG, and
-            // the angle at u to be at most theta.
-            if w_uz == 0.0 || w_uz > edge.weight {
+            // Lemma 3 needs |uz| <= |uv|, |vz| <= alpha so that {v, z} is
+            // guaranteed to be an edge of the alpha-UBG, and the angle at u
+            // to be at most theta, read from a non-degenerate witness (see
+            // above).
+            if w_uz > edge.weight {
                 continue;
             }
             if points.distance(v, z) > alpha {
                 continue;
             }
-            if angle_at_indices(points, u, v, z) <= theta {
+            if angle_at_indices(points, u, v, z) <= theta && points.distance(u, z) > f64::EPSILON {
                 return true;
             }
         }
@@ -270,6 +274,28 @@ mod tests {
             &params(),
             &spanner,
             &Edge::new(2, 1, 0.9)
+        ));
+    }
+
+    #[test]
+    fn sub_epsilon_witness_does_not_cover() {
+        // z is distinct from u but closer than f64::EPSILON, perpendicular
+        // to {u, v}: angle_at_indices reads the degenerate leg as angle 0,
+        // which must not make {u, z} a witness.
+        let w_uz = 1e-17;
+        let points = vec![
+            Point::new2(0.0, 0.0),  // u
+            Point::new2(0.9, 0.0),  // v
+            Point::new2(0.0, w_uz), // z
+        ];
+        assert!(w_uz > 0.0 && points[0].distance(&points[2]) <= f64::EPSILON);
+        let mut spanner = WeightedGraph::new(3);
+        spanner.add_edge(0, 2, w_uz);
+        assert!(!is_covered(
+            &points,
+            &params(),
+            &spanner,
+            &Edge::new(0, 1, 0.9)
         ));
     }
 

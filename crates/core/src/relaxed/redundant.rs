@@ -49,8 +49,11 @@ impl RedundancyAnalysis {
 }
 
 /// Finds all mutually redundant pairs among `added` (the edges added in the
-/// current phase), measuring path lengths on the cluster graph `h`.
-pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> RedundancyAnalysis {
+/// current phase), measuring path lengths on the cluster graph `h` — in
+/// either representation: the bounded bucket sweeps return the same
+/// distances whatever the order of each node's neighbours, so the
+/// conflicts do not depend on it.
+pub fn analyze_redundancy<G: GraphView>(added: &[Edge], h: &G, t1: f64) -> RedundancyAnalysis {
     assert!(t1 > 1.0, "t1 must exceed 1");
     if added.len() < 2 {
         return conflict_pairs(added, t1, std::iter::empty(), |_, _| f64::INFINITY);
@@ -271,7 +274,7 @@ pub fn removals_from_mis(analysis: &RedundancyAnalysis, chosen: &[usize]) -> Vec
 /// Convenience wrapper for the sequential algorithm: analyses redundancy,
 /// computes a greedy MIS of the conflict graph, and returns the indices of
 /// the edges to remove.
-pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64) -> Vec<usize> {
+pub fn sequential_redundant_removals<G: GraphView>(added: &[Edge], h: &G, t1: f64) -> Vec<usize> {
     analyze_redundancy(added, h, t1).removals(mis::greedy_mis)
 }
 

@@ -78,7 +78,8 @@ impl CsrGraph {
     /// assert!(g.has_edge(0, 2) && !g.has_edge(1, 2));
     /// ```
     pub fn from_edges(nodes: usize, edges: impl IntoIterator<Item = Edge>) -> Self {
-        let mut directed = Vec::new();
+        let edges = edges.into_iter();
+        let mut directed = Vec::with_capacity(2 * edges.size_hint().0);
         for e in edges {
             assert!(
                 e.u < nodes && e.v < nodes,

@@ -93,28 +93,40 @@ impl<'a> NodeContext<'a> {
 /// send a (different) message to each neighbour and receives all messages
 /// addressed to it in the previous round.
 ///
+/// The neighbour lists are one flat, per-node sorted array built once, and
+/// a round's cost follows the nodes it invokes and the messages they send:
+/// the two inbox sets are reused across rounds, and the stopping test
+/// reads two counters instead of scanning every node.
+///
 /// See the crate-level example for usage. Statistics refer to the most
 /// recent [`SyncNetwork::run`].
 #[derive(Debug)]
 pub struct SyncNetwork<'a> {
     graph: &'a WeightedGraph,
-    neighbor_lists: Vec<Vec<NodeId>>,
+    /// The neighbours of `u` are `neighbors[offsets[u]..offsets[u + 1]]`,
+    /// ascending.
+    offsets: Vec<usize>,
+    neighbors: Vec<NodeId>,
     stats: CommStats,
 }
 
 impl<'a> SyncNetwork<'a> {
     /// Creates an executor over the given communication graph.
     pub fn new(graph: &'a WeightedGraph) -> Self {
-        let neighbor_lists = (0..graph.node_count())
-            .map(|u| {
-                let mut nbrs: Vec<NodeId> = graph.neighbors(u).iter().map(|&(v, _)| v).collect();
-                nbrs.sort_unstable();
-                nbrs
-            })
-            .collect();
+        let n = graph.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(2 * graph.edge_count());
+        offsets.push(0);
+        for u in 0..n {
+            let start = neighbors.len();
+            neighbors.extend(graph.neighbors(u).iter().map(|&(v, _)| v));
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len());
+        }
         Self {
             graph,
-            neighbor_lists,
+            offsets,
+            neighbors,
             stats: CommStats::default(),
         }
     }
@@ -129,14 +141,20 @@ impl<'a> SyncNetwork<'a> {
         self.stats
     }
 
+    /// The sorted neighbour list of `u`.
+    fn neighbors_of(&self, u: NodeId) -> &[NodeId] {
+        &self.neighbors[self.offsets[u]..self.offsets[u + 1]]
+    }
+
     /// Runs the protocol until quiescence (every node passive and no
     /// messages in flight) or until `max_rounds` rounds have executed,
     /// whichever comes first. Returns the final node states.
     ///
     /// The `step` closure is invoked as
     /// `step(round, node, &mut state, inbox, &context)` for every node that
-    /// is either still active or has a non-empty inbox this round. The
-    /// inbox contains `(sender, message)` pairs from the previous round.
+    /// is either still active or has a non-empty inbox this round, in
+    /// ascending node order. The inbox contains `(sender, message)` pairs
+    /// from the previous round, in the order they were sent.
     ///
     /// # Panics
     ///
@@ -152,34 +170,30 @@ impl<'a> SyncNetwork<'a> {
         assert_eq!(states.len(), n, "one initial state per node is required");
         self.stats = CommStats::default();
         let mut halted = vec![false; n];
+        let mut active = n;
         let mut inboxes: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); n];
+        let mut next_inboxes: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); n];
+        // Messages waiting in `inboxes`, i.e. sent in the previous round.
+        let mut in_flight = 0;
         let mut round = 0;
-        loop {
-            if round >= max_rounds {
-                break;
-            }
-            let any_active = halted.iter().any(|h| !h);
-            let any_mail = inboxes.iter().any(|i| !i.is_empty());
-            if !any_active && !any_mail {
-                break;
-            }
-            let mut next_inboxes: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); n];
+        while round < max_rounds && (active > 0 || in_flight > 0) {
             let mut delivered_this_round = 0;
             for node in 0..n {
-                let inbox = std::mem::take(&mut inboxes[node]);
+                let inbox = &mut inboxes[node];
                 if halted[node] && inbox.is_empty() {
                     continue;
                 }
                 let ctx = NodeContext {
                     node,
                     round,
-                    neighbors: &self.neighbor_lists[node],
+                    neighbors: self.neighbors_of(node),
                 };
-                let result = step(round, node, &mut states[node], &inbox, &ctx);
+                let result = step(round, node, &mut states[node], inbox, &ctx);
+                inbox.clear();
                 let sent = result.outgoing.len();
                 for (to, message) in result.outgoing {
                     assert!(
-                        self.neighbor_lists[node].binary_search(&to).is_ok(),
+                        ctx.neighbors.binary_search(&to).is_ok(),
                         "node {node} attempted to message non-neighbour {to}"
                     );
                     next_inboxes[to].push((node, message));
@@ -187,10 +201,20 @@ impl<'a> SyncNetwork<'a> {
                 }
                 self.stats.max_messages_per_node_round =
                     self.stats.max_messages_per_node_round.max(sent);
-                halted[node] = result.halt;
+                if halted[node] != result.halt {
+                    halted[node] = result.halt;
+                    if result.halt {
+                        active -= 1;
+                    } else {
+                        active += 1;
+                    }
+                }
             }
             self.stats.messages += delivered_this_round;
-            inboxes = next_inboxes;
+            in_flight = delivered_this_round;
+            // Every inbox was drained above; the emptied set collects the
+            // next round's mail.
+            std::mem::swap(&mut inboxes, &mut next_inboxes);
             round += 1;
             self.stats.rounds = round;
         }

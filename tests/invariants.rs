@@ -161,3 +161,54 @@ fn coincident_points_keep_the_stretch_guarantee() {
         }
     }
 }
+
+/// Distinct points closer than `f64::EPSILON` (representable only near
+/// the origin) make `angle_at_indices` degenerate: it returns 0 for a
+/// non-zero but sub-epsilon witness `{u, z}`, so without a guard such a
+/// witness "covers" any edge at `u` whatever its direction — the same
+/// circular filtering as for coincident points. The deployment is centred
+/// on the origin and 20 of its points form a clump of distinct sub-epsilon
+/// points there.
+#[test]
+fn sub_epsilon_clump_keeps_the_stretch_guarantee() {
+    use topology_control::spanner::{run_ablation, AblationConfig};
+    let eps = 0.5;
+    for seed in 0..6u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let side = generators::side_for_target_degree(200, 2, 10.0);
+        let mut points: Vec<Point> = generators::uniform_points(&mut rng, 200, 2, side)
+            .into_iter()
+            .map(|p| Point::new2(p.coord(0) - side / 2.0, p.coord(1) - side / 2.0))
+            .collect();
+        for k in 0..20 {
+            let r = (k + 1) as f64 * 1e-17;
+            let a = k as f64;
+            points[180 + k] = Point::new2(r * a.cos(), r * a.sin());
+        }
+        let network = UbgBuilder::unit_disk().build(points).unwrap();
+        let params = SpannerParams::for_epsilon(eps, 1.0).unwrap();
+        let spanners = [
+            ("relaxed", build_spanner(&network, eps).unwrap().spanner),
+            (
+                "distributed",
+                build_spanner_distributed(&network, eps)
+                    .unwrap()
+                    .result
+                    .spanner,
+            ),
+            (
+                "ablation-full",
+                run_ablation(&network, params, AblationConfig::full()).spanner,
+            ),
+        ];
+        for (name, spanner) in spanners {
+            let report = verify_spanner(network.graph(), &spanner, params.t);
+            assert!(
+                report.stretch_ok && report.disconnected_pairs == 0,
+                "seed {seed}, {name}: stretch {} with {} disconnected pairs",
+                report.stretch,
+                report.disconnected_pairs
+            );
+        }
+    }
+}

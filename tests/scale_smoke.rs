@@ -1,8 +1,10 @@
-//! Tier-2 scale smoke test: one mid-size (200k-node) end-to-end build.
+//! Tier-2 scale smoke tests: one mid-size (200k-node) end-to-end build
+//! of the sequential construction, and one 40k-node distributed build.
 //!
-//! The test is `#[ignore]`d so the default (tier-1) suite stays fast; the
-//! release-mode CI job runs it explicitly with `--ignored`. It checks the
-//! three things a scale regression would break first:
+//! The tests are `#[ignore]`d so the default (tier-1) suite stays fast;
+//! the release-mode CI job runs them explicitly with `--ignored`. The
+//! sequential test checks the three things a scale regression would break
+//! first:
 //!
 //! 1. the construction completes (no quadratic blow-up sneaks back in),
 //! 2. the spanner meets its stretch target on a deterministic sample of
@@ -10,6 +12,11 @@
 //!    smoke test),
 //! 3. two seeded runs produce bit-identical edge lists (stable FNV-1a
 //!    hash), i.e. scale does not cost determinism.
+//!
+//! The distributed test pins the message-passing construction's edge
+//! hash, rounds and messages at 40k nodes and bounds its release
+//! wall-clock time, since that path never enters the phase engine the
+//! 200k test exercises.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -100,5 +107,46 @@ fn scale_smoke_200k_nodes_build_verify_deterministic() {
         edge_hash(&result.spanner),
         edge_hash(&result2.spanner),
         "spanner construction is not reproducible at scale"
+    );
+}
+
+/// The distributed workload's shape: 40k uniform points in the plane
+/// (expected unit-radius degree 12), α = 0.8 with grey-zone pairs linked
+/// with probability 0.5, ε = 1, rank MIS.
+const DIST_N: usize = 40_000;
+const DIST_SEED: u64 = 1;
+/// Release wall-clock budget for the distributed 40k build.
+const DIST_BUDGET_SECONDS: f64 = 90.0;
+
+#[test]
+#[ignore = "tier-2 scale test: 40k-node distributed build, release mode; CI runs it with --ignored"]
+fn distributed_40k_matches_its_golden_output_within_budget() {
+    let mut rng = ChaCha8Rng::seed_from_u64(DIST_SEED);
+    let side = generators::side_for_target_degree(DIST_N, 2, 12.0);
+    let points = generators::uniform_points(&mut rng, DIST_N, 2, side);
+    let ubg = UbgBuilder::new(0.8)
+        .grey_zone(GreyZonePolicy::Probabilistic {
+            probability: 0.5,
+            seed: DIST_SEED,
+        })
+        .build(points)
+        .expect("generator points share a dimension");
+    let params = SpannerParams::for_epsilon(1.0, 0.8).expect("valid parameters");
+    let start = std::time::Instant::now();
+    let out = DistributedRelaxedGreedy::new(params).run(&ubg);
+    let spent = start.elapsed().as_secs_f64();
+    // Recorded before the flat per-phase steps landed; the steps are a
+    // performance change and must not move the output.
+    assert_eq!(
+        format!("{:016x}", edge_hash(&out.result.spanner)),
+        "088007b76892c7a7",
+        "{} spanner edges",
+        out.result.spanner.edge_count()
+    );
+    assert_eq!((out.rounds, out.messages), (7_568, 141_136));
+    println!("distributed 40k build: {spent:.2}s (budget {DIST_BUDGET_SECONDS:.0}s)");
+    assert!(
+        spent <= DIST_BUDGET_SECONDS,
+        "distributed 40k build took {spent:.1}s, over its {DIST_BUDGET_SECONDS:.0}s budget"
     );
 }
