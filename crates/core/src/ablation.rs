@@ -28,12 +28,13 @@
 
 use crate::params::SpannerParams;
 use crate::relaxed::{
-    answer_queries_on, build_cluster_graph, run_phases, sequential_redundant_removals,
-    ClusterCover, Phase, PhaseSteps, PointCountMismatch, SpannerResult,
+    answer_queries_on, run_phases, sequential_redundant_removals, ClusterCover, Phase, PhaseSteps,
+    PointCountMismatch, RegionClusterGraph, SpannerResult,
 };
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
 use tc_geometry::PointAccess;
+use tc_graph::bucket::BucketConfig;
 use tc_graph::{CsrGraph, Edge, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
@@ -109,9 +110,11 @@ impl AblationConfig {
 ///
 /// Every variant runs the same phase driver as
 /// [`RelaxedGreedy`](crate::RelaxedGreedy), with steps recomputed from
-/// scratch each phase: a per-phase [`ClusterCover::greedy`], then
-/// [`build_cluster_graph`] (or, for exact queries, the partial spanner
-/// itself) and the dense redundancy analysis. [`AblationConfig::full`] is
+/// scratch each phase: a per-phase [`ClusterCover::greedy`], then the
+/// cluster graph of
+/// [`build_cluster_graph`](crate::relaxed::build_cluster_graph) over the
+/// region the phase's queries can read (or, for exact queries, the
+/// partial spanner itself) and the dense redundancy analysis. [`AblationConfig::full`] is
 /// thus the reference oracle the production path's hierarchical phase
 /// engine (`relaxed::hierarchy`) is gated against. The engine reuses
 /// covers across phase levels and answers queries on a contracted cluster
@@ -158,9 +161,9 @@ pub fn run_ablation_on<P: PointAccess + ?Sized>(
 struct OracleSteps {
     config: AblationConfig,
     cover: ClusterCover,
-    /// `H_{i-1}`, built only for cluster-graph queries or redundancy
-    /// removal.
-    h: Option<CsrGraph>,
+    /// `H_{i-1}` over the region the phase's queries can read, built only
+    /// for cluster-graph queries or redundancy removal.
+    h: Option<RegionClusterGraph>,
 }
 
 impl PhaseSteps for OracleSteps {
@@ -169,9 +172,11 @@ impl PhaseSteps for OracleSteps {
         &self.cover
     }
 
-    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase) {
-        self.h = (self.config.cluster_graph_queries || self.config.redundancy_removal)
-            .then(|| build_cluster_graph(spanner, &self.cover, phase.w_prev, phase.params.delta).0);
+    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) {
+        self.h = (self.config.cluster_graph_queries || self.config.redundancy_removal).then(|| {
+            let config = BucketConfig::for_graph(spanner);
+            RegionClusterGraph::for_queries(spanner, &self.cover, phase, queries, &config)
+        });
     }
 
     /// Asks the queries on `H`, or on a CSR freeze of the partial spanner
@@ -179,7 +184,7 @@ impl PhaseSteps for OracleSteps {
     fn answer(&mut self, spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) -> Vec<bool> {
         let t = phase.params.t;
         match (self.config.cluster_graph_queries, &self.h) {
-            (true, Some(h)) => answer_queries_on(h, queries, t),
+            (true, Some(h)) => answer_queries_on(h.graph(), &h.local(queries), t),
             _ => answer_queries_on(&CsrGraph::from(spanner), queries, t),
         }
     }
@@ -187,7 +192,9 @@ impl PhaseSteps for OracleSteps {
     fn redundant(&mut self, phase: &Phase, added: &[Edge]) -> Vec<usize> {
         // Taking H frees it before the next phase builds its own.
         match (self.config.redundancy_removal, self.h.take()) {
-            (true, Some(h)) => sequential_redundant_removals(added, &h, phase.params.t1),
+            (true, Some(h)) => {
+                sequential_redundant_removals(&h.local(added), h.graph(), phase.params.t1)
+            }
             _ => Vec::new(),
         }
     }

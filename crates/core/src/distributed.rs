@@ -34,18 +34,24 @@
 //! structure to the sequential algorithm (and the spanner guarantees
 //! carry over) while the round count for the complexity experiment (E4)
 //! stays honest.
+//!
+//! As the local protocol's cost does, each phase's central work follows
+//! what the phase touches rather than `n`: the cover sweeps and runs its
+//! MIS only over the nodes with a spanner edge within the cover radius
+//! (every other node is its own isolated centre), and `H_{i-1}` is built
+//! only over the region the phase's queries can read.
 
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::relaxed::{
-    analyze_redundancy, answer_queries_on, build_cluster_graph, run_phases, Balls, ClusterCover,
-    Phase, PhaseSteps, PhaseTiming, PointCountMismatch, SpannerResult,
+    analyze_redundancy, answer_queries_on, run_phases, Balls, ClusterCover, Phase, PhaseSteps,
+    PhaseTiming, PointCountMismatch, RegionClusterGraph, SpannerResult,
 };
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
 use tc_geometry::PointAccess;
 use tc_graph::bucket::BucketConfig;
-use tc_graph::{CsrGraph, Edge, NodeId, WeightedGraph};
+use tc_graph::{Edge, NodeId, WeightedGraph};
 use tc_simnet::{log2_ceil, log_star, mis, CommStats, RoundLedger};
 use tc_ubg::UnitBallGraph;
 
@@ -61,6 +67,26 @@ pub enum MisProtocol {
         /// Seed for the per-node random priorities.
         seed: u64,
     },
+}
+
+impl MisProtocol {
+    /// Runs the protocol on `graph`.
+    fn run(self, graph: &WeightedGraph) -> mis::MisResult {
+        match self {
+            MisProtocol::Rank => mis::rank_mis(graph, None),
+            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed),
+        }
+    }
+
+    /// Runs the protocol on an `n`-node graph given by its non-isolated
+    /// part `graph`, whose node `k` is node `ids[k]`; the result is the
+    /// whole graph's (see [`mis::rank_mis_compact`]).
+    fn run_compact(self, n: usize, ids: &[NodeId], graph: &WeightedGraph) -> mis::MisResult {
+        match self {
+            MisProtocol::Rank => mis::rank_mis_compact(n, ids, graph),
+            MisProtocol::Luby { seed } => mis::luby_mis_compact(n, ids, graph, seed),
+        }
+    }
 }
 
 /// The outcome of a distributed construction: the spanner plus the full
@@ -187,7 +213,9 @@ impl DistributedRelaxedGreedy {
             mis_protocol: self.mis_protocol,
             ledger: RoundLedger::default(),
             cover: ClusterCover::default(),
-            h: CsrGraph::new(0),
+            // Replaced by the partial spanner's own in every phase's step (i).
+            config: BucketConfig::new(1.0, 1.0),
+            h: RegionClusterGraph::default(),
         };
         let mechanisms = AblationConfig::full();
         let (result, timings) = run_phases(
@@ -221,17 +249,59 @@ struct MessagePassingSteps {
     mis_protocol: MisProtocol,
     ledger: RoundLedger,
     cover: ClusterCover,
-    /// The full cluster graph `H_{i-1}` of the current phase.
-    h: CsrGraph,
+    /// The bucket configuration of the phase's partial spanner, derived
+    /// once in step (i) for the cover's and the cluster graph's sweeps.
+    config: BucketConfig,
+    /// `H_{i-1}` over the region the phase's queries can read.
+    h: RegionClusterGraph,
 }
 
-impl MessagePassingSteps {
-    fn run_mis(&self, graph: &WeightedGraph) -> mis::MisResult {
-        match self.mis_protocol {
-            MisProtocol::Rank => mis::rank_mis(graph, None),
-            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed),
-        }
-    }
+/// The distributed cover of `spanner` with radius `radius`: the centres
+/// are an MIS of the "within `radius`" graph J, measured as `protocol`
+/// runs it, and every node attaches to the reachable centre with the
+/// highest identifier. Returns the cover and the MIS run.
+///
+/// Only the nodes with a spanner edge within the radius sweep: any other
+/// node reaches itself alone, so it is isolated in J, in every MIS and
+/// its own singleton centre. J is built over the swept nodes, relabelled
+/// in ascending id order, and the MIS runs there with the original ids;
+/// the isolated nodes join directly (see [`mis::rank_mis_compact`]).
+fn mis_cover(
+    spanner: &WeightedGraph,
+    radius: f64,
+    config: &BucketConfig,
+    protocol: MisProtocol,
+) -> (ClusterCover, mis::MisResult) {
+    let n = spanner.node_count();
+    let swept: Vec<NodeId> = (0..n)
+        .filter(|&u| spanner.neighbors(u).iter().any(|&(_, w)| w <= radius))
+        .collect();
+    // One radius-bounded sweep per swept node gives its J-neighbours, and
+    // the centres' sweeps are the balls they attach: O(nodes reached) per
+    // node, in one flat buffer.
+    let balls = Balls::sweep(spanner, &swept, radius, config, |v| Some(v as u32));
+    // A ball's other nodes each have an edge within the radius (the last
+    // one on the path that reached them), so they are swept nodes too.
+    let local = |v: u32| {
+        let k = swept.partition_point(|&x| x < v as NodeId);
+        debug_assert_eq!(
+            swept.get(k),
+            Some(&(v as NodeId)),
+            "a ball left the swept nodes"
+        );
+        k
+    };
+    let j_edges = swept.iter().enumerate().flat_map(|(k, &u)| {
+        balls
+            .row(k)
+            .iter()
+            .filter(move |&&(v, _)| v as NodeId > u)
+            .map(move |&(v, _)| Edge::new(k, local(v), 1.0))
+    });
+    let j_graph = WeightedGraph::from_edges(swept.len(), j_edges);
+    let mis_result = protocol.run_compact(n, &swept, &j_graph);
+    let cover = ClusterCover::from_balls(n, &swept, &balls, &mis_result.mis, radius);
+    (cover, mis_result)
 }
 
 /// The ledger label of `step` in `phase`.
@@ -257,23 +327,9 @@ impl PhaseSteps for MessagePassingSteps {
     /// (x ~ y iff sp_{G'_{i-1}}(x, y) <= radius).
     fn cover(&mut self, spanner: &WeightedGraph, phase: &Phase) -> &ClusterCover {
         let radius = phase.radius;
-        let n = spanner.node_count();
-        // One radius-bounded sweep per node gives its J-neighbours, and the
-        // centres' sweeps are the balls they attach: O(nodes reached) per
-        // node, never O(n), in one flat buffer.
-        let nodes: Vec<NodeId> = (0..n).collect();
-        let config = BucketConfig::for_graph(spanner);
-        let balls = Balls::sweep(spanner, &nodes, radius, &config, |v| Some(v as u32));
-        let j_edges = nodes.iter().flat_map(|&u| {
-            balls
-                .row(u)
-                .iter()
-                .filter(move |&&(v, _)| v as NodeId > u)
-                .map(move |&(v, _)| Edge::new(u, v as NodeId, 1.0))
-        });
-        let j_graph = WeightedGraph::from_edges(n, j_edges);
-        let mis_result = self.run_mis(&j_graph);
-        self.cover = ClusterCover::from_balls(&balls, &mis_result.mis, radius);
+        self.config = BucketConfig::for_graph(spanner);
+        let (cover, mis_result) = mis_cover(spanner, radius, &self.config, self.mis_protocol);
+        self.cover = cover;
         let cover_gather_hops = hops_for(phase, radius);
         self.ledger
             .charge_rounds(label(phase, "cover/gather"), cover_gather_hops);
@@ -294,19 +350,20 @@ impl PhaseSteps for MessagePassingSteps {
     /// Also charges step (ii), which the driver runs just before: cluster
     /// heads gather all bin edges between their cluster and any other,
     /// discard covered ones and pick the minimiser per cluster pair.
-    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase) {
+    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) {
         let delta = phase.params.delta;
         let select_hops = 1 + hops_for(phase, phase.radius);
         self.ledger
             .charge_rounds(label(phase, "query-selection/gather"), select_hops);
-        self.h = build_cluster_graph(spanner, &self.cover, phase.w_prev, delta).0;
+        self.h =
+            RegionClusterGraph::for_queries(spanner, &self.cover, phase, queries, &self.config);
         let h_hops = hops_for(phase, (2.0 * delta + 1.0) * phase.w_prev);
         self.ledger
             .charge_rounds(label(phase, "cluster-graph/gather"), h_hops);
     }
 
     fn answer(&mut self, _spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) -> Vec<bool> {
-        let verdicts = answer_queries_on(&self.h, queries, phase.params.t);
+        let verdicts = answer_queries_on(self.h.graph(), &self.h.local(queries), phase.params.t);
         self.ledger
             .charge_rounds(label(phase, "queries/answer"), query_answer_hops(phase));
         verdicts
@@ -316,10 +373,10 @@ impl PhaseSteps for MessagePassingSteps {
     fn redundant(&mut self, phase: &Phase, added: &[Edge]) -> Vec<usize> {
         // The phase's H is not needed after this analysis; taking it frees
         // it before the next phase builds its own.
-        let h = std::mem::replace(&mut self.h, CsrGraph::new(0));
-        let analysis = analyze_redundancy(added, &h, phase.params.t1);
+        let h = std::mem::take(&mut self.h);
+        let analysis = analyze_redundancy(&h.local(added), h.graph(), phase.params.t1);
         let removals = analysis.removals(|conflicts| {
-            let conflict_mis = self.run_mis(conflicts);
+            let conflict_mis = self.mis_protocol.run(conflicts);
             let rounds = conflict_mis.stats.rounds * query_answer_hops(phase);
             let stats = CommStats {
                 rounds,
@@ -461,5 +518,73 @@ mod tests {
     #[test]
     fn default_mis_protocol_is_rank() {
         assert_eq!(MisProtocol::default(), MisProtocol::Rank);
+    }
+
+    /// The n-node J path the compact cover replaced, kept as its oracle:
+    /// every node sweeps, J spans all `n` nodes and the MIS runs over all
+    /// of them.
+    fn mis_cover_oracle(
+        spanner: &WeightedGraph,
+        radius: f64,
+        protocol: MisProtocol,
+    ) -> (ClusterCover, mis::MisResult) {
+        let n = spanner.node_count();
+        let nodes: Vec<NodeId> = (0..n).collect();
+        let config = BucketConfig::for_graph(spanner);
+        let balls = Balls::sweep(spanner, &nodes, radius, &config, |v| Some(v as u32));
+        let j_edges = nodes.iter().flat_map(|&u| {
+            balls
+                .row(u)
+                .iter()
+                .filter(move |&&(v, _)| v as NodeId > u)
+                .map(move |&(v, _)| Edge::new(u, v as NodeId, 1.0))
+        });
+        let j_graph = WeightedGraph::from_edges(n, j_edges);
+        let mis_result = protocol.run(&j_graph);
+        let cover = ClusterCover::from_balls(n, &nodes, &balls, &mis_result.mis, radius);
+        (cover, mis_result)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// The cover over J's non-isolated nodes is the n-node oracle's:
+        /// same centres, assignments and bitwise distances, and the same
+        /// MIS with the same rounds, messages and phases, for both
+        /// protocols.
+        #[test]
+        fn the_compact_cover_matches_the_n_node_j_oracle(
+            seed in 0u64..1_000,
+            n in 1usize..60,
+            p in 0.02f64..0.3,
+            radius in 0.0f64..0.8,
+        ) {
+            use rand::Rng;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut g = WeightedGraph::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if rng.gen_bool(p) {
+                        g.add_edge(u, v, rng.gen_range(0.01..1.0));
+                    }
+                }
+            }
+            let config = BucketConfig::for_graph(&g);
+            for protocol in [MisProtocol::Rank, MisProtocol::Luby { seed }] {
+                let (cover, got) = mis_cover(&g, radius, &config, protocol);
+                let (want_cover, want) = mis_cover_oracle(&g, radius, protocol);
+                proptest::prop_assert_eq!(
+                    (&got.mis, got.stats, got.phases),
+                    (&want.mis, want.stats, want.phases)
+                );
+                proptest::prop_assert_eq!(cover.centers(), want_cover.centers());
+                for v in 0..n {
+                    proptest::prop_assert_eq!(cover.cluster_of(v), want_cover.cluster_of(v));
+                    proptest::prop_assert_eq!(
+                        cover.dist_to_center(v).to_bits(),
+                        want_cover.dist_to_center(v).to_bits()
+                    );
+                }
+            }
+        }
     }
 }

@@ -16,6 +16,7 @@
 //! makes the per-edge spanner-path queries answerable in `O(1)` rounds.
 
 use super::cover::{Balls, ClusterCover};
+use super::driver::Phase;
 use tc_graph::bucket::BucketConfig;
 use tc_graph::{CsrGraph, Edge, NodeId, WeightedGraph};
 
@@ -36,7 +37,8 @@ pub struct ClusterGraphStats {
 /// bin) and `delta` the cluster-radius fraction.
 ///
 /// Returns the graph, frozen as CSR for the phase's queries, together with
-/// construction statistics.
+/// construction statistics. This is the region builder behind the
+/// distributed and ablation steps, run on the region of all nodes.
 ///
 /// Every candidate edge goes into one flat list, in a fixed priority
 /// order: the intra-cluster edges by member, then condition (i) by
@@ -51,71 +53,120 @@ pub fn build_cluster_graph(
     w_prev: f64,
     delta: f64,
 ) -> (CsrGraph, ClusterGraphStats) {
+    let all: Vec<NodeId> = (0..spanner.node_count()).collect();
+    let config = BucketConfig::for_graph(spanner);
+    build_on_region(spanner, cover, w_prev, delta, &all, &config)
+}
+
+/// `H_{i-1}` induced on `region`, the ascending list of distinct nodes
+/// `X`: node `k` of the returned graph is `region[k]`, and its edges are
+/// exactly the edges of [`build_cluster_graph`]'s `H` with both endpoints
+/// in `X`, with bitwise the same weights. `config` is the bucket
+/// configuration of `spanner`.
+///
+/// The work follows the region, not `n`: only the centres in `X` sweep,
+/// and the candidate list is the full builder's restricted to `X × X` —
+/// intra edges by member, condition (i) from the rows of `X`-centres by
+/// cluster, condition (ii) over the spanner edges of the members of
+/// `X`-centred clusters in `spanner.edges()` order. Restricting keeps or
+/// drops every occurrence of a pair together, so first-occurrence
+/// deduplication keeps the same weight as on the whole graph. The
+/// statistics count the region's edges.
+pub(crate) fn build_on_region(
+    spanner: &WeightedGraph,
+    cover: &ClusterCover,
+    w_prev: f64,
+    delta: f64,
+    region: &[NodeId],
+    config: &BucketConfig,
+) -> (CsrGraph, ClusterGraphStats) {
     let n = spanner.node_count();
+    let mut local: Vec<u32> = vec![u32::MAX; n];
+    for (k, &v) in region.iter().enumerate() {
+        local[v] = k as u32;
+    }
+    let in_region = |v: NodeId| local[v] != u32::MAX;
     let centers = cover.centers();
     let mut center_index: Vec<u32> = vec![u32::MAX; n];
     for (i, &a) in centers.iter().enumerate() {
         center_index[a] = i as u32;
     }
+    // The clusters whose centre lies in the region, ascending, and each
+    // one's row among their sweeps.
+    let region_clusters: Vec<usize> = (0..centers.len())
+        .filter(|&c| in_region(centers[c]))
+        .collect();
+    let mut row_of: Vec<u32> = vec![u32::MAX; centers.len()];
+    for (row, &c) in region_clusters.iter().enumerate() {
+        row_of[c] = row as u32;
+    }
 
     // Lemma 5 bounds the weight of any inter-cluster edge by
     // (2δ+1)·W_{i-1}, so a search bounded by that radius from each centre
     // discovers every distance we might need. Each sweep records only the
-    // *centres* it reaches, keyed by cluster id — O(reached) per centre,
-    // all in one flat buffer.
+    // region's *centres* it reaches, keyed by cluster id — O(reached) per
+    // centre, all in one flat buffer.
     let reach = (2.0 * delta + 1.0) * w_prev;
-    let config = BucketConfig::for_graph(spanner);
-    let center_reach = Balls::sweep(spanner, centers, reach, &config, |v| {
+    let sources: Vec<NodeId> = region_clusters.iter().map(|&c| centers[c]).collect();
+    let center_reach = Balls::sweep(spanner, &sources, reach, config, |v| {
         let ci = center_index[v];
-        (ci != u32::MAX).then_some(ci)
+        (ci != u32::MAX && in_region(v)).then_some(ci)
     });
 
     // Intra-cluster edges: centre -> member, weight = sp distance recorded
     // by the cover construction.
-    let mut candidates: Vec<Edge> = (0..n)
-        .filter(|&v| cover.center_of(v) != v)
-        .map(|v| Edge::new(cover.center_of(v), v, cover.dist_to_center(v)))
+    let mut candidates: Vec<Edge> = region
+        .iter()
+        .filter(|&&v| cover.center_of(v) != v && in_region(cover.center_of(v)))
+        .map(|&v| {
+            let (c, d) = (cover.center_of(v), cover.dist_to_center(v));
+            Edge::new(local[c] as NodeId, local[v] as NodeId, d)
+        })
         .collect();
     let intra = candidates.len();
     // A cover built from a centre list with repeats has two clusters
     // around one node; they are never joined to each other.
     let mut push_inter = |a: NodeId, b: NodeId, d: f64| {
         if a != b {
-            candidates.push(Edge::new(a, b, d));
+            candidates.push(Edge::new(local[a] as NodeId, local[b] as NodeId, d));
         }
     };
 
     // Condition (i): centres within distance W_{i-1} of each other.
-    for (ca, &a) in centers.iter().enumerate() {
-        for &(cb, d) in center_reach.row(ca) {
+    for (row, &ca) in region_clusters.iter().enumerate() {
+        for &(cb, d) in center_reach.row(row) {
             if cb as usize > ca && d <= w_prev {
-                push_inter(a, centers[cb as usize], d);
+                push_inter(centers[ca], centers[cb as usize], d);
             }
         }
     }
 
     // Condition (ii): an edge of the spanner crossing two clusters,
-    // weighted from the row of `e.u`'s cluster.
-    for e in spanner.edges() {
-        let (ca, cb) = (cover.cluster_of(e.u), cover.cluster_of(e.v));
-        if ca == cb {
-            continue;
+    // weighted from the row of `e.u`'s cluster. The edges come in
+    // `spanner.edges()` order: ascending `e.u` over the members of the
+    // region's clusters, then `e.u`'s adjacency row.
+    for u in (0..n).filter(|&u| row_of[cover.cluster_of(u)] != u32::MAX) {
+        for &(v, weight) in spanner.neighbors(u) {
+            let (ca, cb) = (cover.cluster_of(u), cover.cluster_of(v));
+            if v < u || ca == cb || row_of[cb] == u32::MAX {
+                continue;
+            }
+            let row = center_reach.row(row_of[ca] as usize);
+            let d = match row.binary_search_by_key(&(cb as u32), |&(ci, _)| ci) {
+                Ok(pos) => row[pos].1,
+                // Lemma 5 guarantees the distance is within the bounded
+                // reach; fall back to the triangle-inequality upper bound if
+                // a floating-point boundary put it just outside.
+                Err(_) => cover.dist_to_center(u) + weight + cover.dist_to_center(v),
+            };
+            push_inter(centers[ca], centers[cb], d);
         }
-        let row = center_reach.row(ca);
-        let d = match row.binary_search_by_key(&(cb as u32), |&(ci, _)| ci) {
-            Ok(pos) => row[pos].1,
-            // Lemma 5 guarantees the distance is within the bounded reach;
-            // fall back to the triangle-inequality upper bound if a
-            // floating-point boundary put it just outside.
-            Err(_) => cover.dist_to_center(e.u) + e.weight + cover.dist_to_center(e.v),
-        };
-        push_inter(centers[ca], centers[cb], d);
     }
     // Freed before the deduplication and the CSR build, which would
     // otherwise stack on top of the rows at the phase's memory peak.
     drop(center_reach);
 
-    let keep = first_occurrences(n, &candidates);
+    let keep = first_occurrences(region.len(), &candidates);
     let mut stats = ClusterGraphStats {
         intra_edges: keep[..intra].iter().filter(|&&k| k).count(),
         inter_edges: keep[intra..].iter().filter(|&&k| k).count(),
@@ -133,7 +184,7 @@ pub fn build_cluster_graph(
     let is_own_center = |v: NodeId| cover.center_of(v) == v;
     let mut inter_degree = vec![0usize; centers.len()];
     for e in &edges {
-        for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+        for (x, y) in [(region[e.u], region[e.v]), (region[e.v], region[e.u])] {
             let ci = center_index[x];
             if ci != u32::MAX && is_own_center(y) {
                 inter_degree[ci as usize] += 1;
@@ -142,7 +193,111 @@ pub fn build_cluster_graph(
     }
     stats.max_inter_degree = inter_degree.into_iter().max().unwrap_or(0);
 
-    (CsrGraph::from_edges(n, edges), stats)
+    (CsrGraph::from_edges(region.len(), edges), stats)
+}
+
+/// Slack on the query region's radius: a path's length in `H` sums the
+/// same `G'` edges as a `G'` path but in another association (each `H`
+/// weight is a partial sum), which can round up to a few ulps below the
+/// sweep's `G'` distance. A relative `1e-9` covers the rounding of any
+/// path shorter than about 10^6 edges, and a larger region is still
+/// exact.
+const REGION_SLACK: f64 = 1e-9;
+
+/// `H_{i-1}` over the part of the graph a phase's queries can read: the
+/// region `X` of every node within `G'` distance `t·max_w` of a query
+/// endpoint (`max_w` the heaviest query), and `H[X]` on it.
+///
+/// Every `H` weight is a `G'` shortest-path length or the larger triangle
+/// fallback, so `d_H ≥ d_G'`. A query search (budget `t·w ≤ t·max_w`) or
+/// a redundancy sweep (budget `t1·max_w − min_w`, below that) from an
+/// endpoint therefore only settles nodes of `X`, along shortest paths
+/// inside `X`, and bounded searches never store a label above their
+/// radius: the searches find the same distances on `H[X]` as on `H`.
+pub(crate) struct RegionClusterGraph {
+    /// `X`, ascending; node `k` of `graph` is `nodes[k]`.
+    nodes: Vec<NodeId>,
+    graph: CsrGraph,
+}
+
+impl Default for RegionClusterGraph {
+    /// The empty region.
+    fn default() -> Self {
+        Self {
+            nodes: Vec::new(),
+            graph: CsrGraph::new(0),
+        }
+    }
+}
+
+impl RegionClusterGraph {
+    /// The region of `queries` and `H[X]` on it; `config` is the bucket
+    /// configuration of `spanner`.
+    pub(crate) fn for_queries(
+        spanner: &WeightedGraph,
+        cover: &ClusterCover,
+        phase: &Phase,
+        queries: &[Edge],
+        config: &BucketConfig,
+    ) -> Self {
+        let nodes = query_region(spanner, queries, phase.params.t, config);
+        let (graph, _) = build_on_region(
+            spanner,
+            cover,
+            phase.w_prev,
+            phase.params.delta,
+            &nodes,
+            config,
+        );
+        Self { nodes, graph }
+    }
+
+    /// `H[X]`, with node `k` standing for the `k`-th node of `X`.
+    pub(crate) fn graph(&self) -> &CsrGraph {
+        &self.graph
+    }
+
+    /// `edges` relabelled into `H[X]`. Their endpoints must lie in `X`, as
+    /// the query endpoints the region grows from (and the added edges,
+    /// which are queries) do.
+    pub(crate) fn local(&self, edges: &[Edge]) -> Vec<Edge> {
+        let index = |v: NodeId| {
+            let k = self.nodes.partition_point(|&x| x < v);
+            debug_assert_eq!(
+                self.nodes.get(k),
+                Some(&v),
+                "node {v} lies outside the region"
+            );
+            k
+        };
+        edges
+            .iter()
+            .map(|e| Edge::new(index(e.u), index(e.v), e.weight))
+            .collect()
+    }
+}
+
+/// The nodes within `G'` distance `t·max_w` (plus [`REGION_SLACK`]) of an
+/// endpoint of `queries`, ascending: one bounded sweep per distinct
+/// endpoint.
+fn query_region(
+    spanner: &WeightedGraph,
+    queries: &[Edge],
+    t: f64,
+    config: &BucketConfig,
+) -> Vec<NodeId> {
+    let mut endpoints: Vec<NodeId> = queries.iter().flat_map(|e| [e.u, e.v]).collect();
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    let max_w = queries.iter().map(|e| e.weight).fold(0.0_f64, f64::max);
+    let radius = t * max_w * (1.0 + REGION_SLACK);
+    let balls = Balls::sweep(spanner, &endpoints, radius, config, |v| Some(v as u32));
+    let mut region: Vec<NodeId> = (0..balls.len())
+        .flat_map(|i| balls.row(i).iter().map(|&(v, _)| v as NodeId))
+        .collect();
+    region.sort_unstable();
+    region.dedup();
+    region
 }
 
 /// Which candidates to keep: the first occurrence of every node pair
@@ -181,9 +336,11 @@ fn first_occurrences(n: usize, candidates: &[Edge]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relaxed::{analyze_redundancy, answer_queries_on, sequential_redundant_removals};
+    use crate::SpannerParams;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
-    use tc_graph::bucket::BucketScratch;
+    use tc_graph::bucket::{shortest_path_distances, BucketScratch};
     use tc_graph::dijkstra::shortest_path_to;
     use tc_graph::GraphView;
 
@@ -303,7 +460,7 @@ mod tests {
                     .map(move |&(v, _)| Edge::new(u, v as usize, 1.0))
             }),
         );
-        ClusterCover::from_balls(&balls, &tc_graph::mis::greedy_mis(&j), radius)
+        ClusterCover::from_balls(n, &nodes, &balls, &tc_graph::mis::greedy_mis(&j), radius)
     }
 
     /// Path 0 - 1 - 2 - 3 weighted 0.1, 0.2, 0.3, whose end-to-end
@@ -370,10 +527,50 @@ mod tests {
         assert_matches_oracle(&g, &cover, 0.3, 0.5);
     }
 
+    /// A seeded G(n, p) graph with weights in `[0.01, 1)`.
+    fn random_graph(seed: u64, n: usize, p: f64) -> WeightedGraph {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut g = WeightedGraph::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(p) {
+                    g.add_edge(u, v, rng.gen_range(0.01..1.0));
+                }
+            }
+        }
+        g
+    }
+
+    /// The region build on `region` equals the full build restricted to
+    /// `region × region`: same edges, bitwise weights.
+    fn assert_region_is_restriction(
+        g: &WeightedGraph,
+        cover: &ClusterCover,
+        w_prev: f64,
+        delta: f64,
+        region: &[NodeId],
+    ) {
+        let (full, _) = build_cluster_graph(g, cover, w_prev, delta);
+        let config = BucketConfig::for_graph(g);
+        let (h, _) = build_on_region(g, cover, w_prev, delta, region, &config);
+        let in_region = |v: usize| region.binary_search(&v).is_ok();
+        let want: Vec<_> = edge_bits(&full)
+            .into_iter()
+            .filter(|&(u, v, _)| in_region(u) && in_region(v))
+            .collect();
+        let mut got: Vec<_> = edge_bits(&h)
+            .into_iter()
+            .map(|(u, v, w)| (region[u], region[v], w))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "region {region:?}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// On random weighted graphs, with greedy and MIS-of-J covers, the
-        /// flat builder and the adjacency-list oracle agree exactly.
+        /// flat builder and the adjacency-list oracle agree exactly, and a
+        /// random region's build is the full build restricted to it.
         #[test]
         fn flat_builder_matches_the_adjacency_list_oracle(
             seed in 0u64..1_000,
@@ -381,19 +578,84 @@ mod tests {
             p in 0.05f64..0.5,
             w_prev in 0.2f64..1.5,
             delta in 0.05f64..0.5,
+            keep_per_mille in 0u64..1_000,
         ) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut g = WeightedGraph::new(n);
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    if rng.gen_bool(p) {
-                        g.add_edge(u, v, rng.gen_range(0.01..1.0));
-                    }
-                }
-            }
+            let g = random_graph(seed, n, p);
             let radius = delta * w_prev;
-            assert_matches_oracle(&g, &ClusterCover::greedy(&g, radius), w_prev, delta);
-            assert_matches_oracle(&g, &mis_of_j_cover(&g, radius), w_prev, delta);
+            let region: Vec<NodeId> = (0..n)
+                .filter(|&v| (v as u64 * 7919 + seed) % 1_000 < keep_per_mille)
+                .collect();
+            for cover in [ClusterCover::greedy(&g, radius), mis_of_j_cover(&g, radius)] {
+                assert_matches_oracle(&g, &cover, w_prev, delta);
+                assert_region_is_restriction(&g, &cover, w_prev, delta, &region);
+            }
+        }
+
+        /// The distributed steps' searches give the same answers on the
+        /// query region's `H[X]` as on the full `H`: every verdict of
+        /// step (iv) and the whole conflict graph of step (v), so the
+        /// same removals.
+        #[test]
+        fn queries_and_redundancy_read_the_same_on_the_query_region(
+            seed in 0u64..1_000,
+            n in 4usize..50,
+            p in 0.03f64..0.3,
+            w_prev in 0.2f64..1.0,
+            delta in 0.05f64..0.3,
+            t in 1.2f64..3.0,
+            queries in 1usize..12,
+        ) {
+            let g = random_graph(seed, n, p);
+            let radius = delta * w_prev;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+            // Queries between connected pairs, weighted so that `t·w` lies
+            // between 1 and 2.5 times their spanner distance: the verdicts
+            // turn on how well H approximates G', and the queries' budgets
+            // differ widely, so only the heaviest one bounds the region.
+            let mut query_edges: Vec<Edge> = (0..queries)
+                .filter_map(|_| {
+                    let u = rng.gen_range(0..n);
+                    let reached: Vec<(NodeId, f64)> = shortest_path_distances(&g, u)
+                        .into_iter()
+                        .enumerate()
+                        .filter_map(|(v, d)| d.filter(|_| v != u).map(|d| (v, d)))
+                        .collect();
+                    if reached.is_empty() {
+                        return None;
+                    }
+                    let (v, d) = reached[rng.gen_range(0..reached.len())];
+                    Some(Edge::new(u, v, d * rng.gen_range(1.0..2.5) / t))
+                })
+                .collect();
+            query_edges.sort();
+            query_edges.dedup_by_key(|e| (e.u, e.v));
+            let params = SpannerParams {
+                t,
+                t1: 1.0 + (t - 1.0) / 2.0,
+                delta,
+                ..SpannerParams::for_epsilon(1.0, 1.0).unwrap()
+            };
+            let phase = Phase { bin: 1, w_prev, radius, alpha_w: 1.0, params: &params };
+            let config = BucketConfig::for_graph(&g);
+            for cover in [ClusterCover::greedy(&g, radius), mis_of_j_cover(&g, radius)] {
+                let (full, _) = build_cluster_graph(&g, &cover, w_prev, delta);
+                let region = RegionClusterGraph::for_queries(&g, &cover, &phase, &query_edges, &config);
+                let local = region.local(&query_edges);
+                prop_assert_eq!(
+                    answer_queries_on(region.graph(), &local, t),
+                    answer_queries_on(&full, &query_edges, t)
+                );
+                let on_region = analyze_redundancy(&local, region.graph(), params.t1);
+                let on_full = analyze_redundancy(&query_edges, &full, params.t1);
+                prop_assert_eq!(
+                    on_region.conflict_graph.sorted_edges(),
+                    on_full.conflict_graph.sorted_edges()
+                );
+                prop_assert_eq!(
+                    sequential_redundant_removals(&local, region.graph(), params.t1),
+                    sequential_redundant_removals(&query_edges, &full, params.t1)
+                );
+            }
         }
     }
 

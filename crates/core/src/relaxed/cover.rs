@@ -105,16 +105,29 @@ impl ClusterCover {
         })
     }
 
-    /// [`ClusterCover::from_centers`] with the balls already swept: row `c`
-    /// of `balls` must hold, keyed by node id, every node within `radius`
-    /// of node `c` in the cover's graph (as [`Balls::sweep`] over all
-    /// nodes at that radius records it). The distributed cover step sweeps
-    /// those balls once to derive its MIS graph and attaches from the same
-    /// visits instead of sweeping again from each centre.
-    pub(crate) fn from_balls(balls: &Balls, centers: &[NodeId], radius: f64) -> Self {
-        Self::attach(balls.len(), centers, radius, |c, reached| {
-            for &(v, d) in balls.row(c) {
-                reached(v as NodeId, d);
+    /// [`ClusterCover::from_centers`] on an `n`-node graph with the balls
+    /// already swept: row `k` of `balls` must hold, keyed by node id, every
+    /// node within `radius` of node `swept[k]` in the cover's graph (as
+    /// [`Balls::sweep`] from `swept` at that radius records it), and every
+    /// node outside `swept` (ascending) must reach itself alone. The
+    /// distributed cover step sweeps only the nodes with an edge within
+    /// the radius, derives its MIS graph from those balls and attaches
+    /// from the same visits instead of sweeping again from each centre.
+    pub(crate) fn from_balls(
+        n: usize,
+        swept: &[NodeId],
+        balls: &Balls,
+        centers: &[NodeId],
+        radius: f64,
+    ) -> Self {
+        Self::attach(n, centers, radius, |c, reached| {
+            match swept.binary_search(&c) {
+                Ok(k) => {
+                    for &(v, d) in balls.row(k) {
+                        reached(v as NodeId, d);
+                    }
+                }
+                Err(_) => reached(c, 0.0),
             }
         })
     }
@@ -476,11 +489,21 @@ mod tests {
             }
             let centers: Vec<NodeId> = cover.centers().iter().copied().rev().collect();
             let swept = ClusterCover::from_centers(&g, &centers, radius);
-            let from_balls = ClusterCover::from_balls(&balls, &centers, radius);
-            prop_assert_eq!(swept.centers(), from_balls.centers());
-            for v in 0..n {
-                prop_assert_eq!(swept.cluster_of(v), from_balls.cluster_of(v));
-                prop_assert_eq!(swept.dist_to_center(v).to_bits(), from_balls.dist_to_center(v).to_bits());
+            // Sweeping only the nodes with an edge within the radius (the
+            // others reach themselves alone) attaches the same way.
+            let active: Vec<NodeId> = (0..n)
+                .filter(|&u| g.neighbors(u).iter().any(|&(_, w)| w <= radius))
+                .collect();
+            let active_balls = Balls::sweep(&g, &active, radius, &config, |v| Some(v as u32));
+            for from_balls in [
+                ClusterCover::from_balls(n, &nodes, &balls, &centers, radius),
+                ClusterCover::from_balls(n, &active, &active_balls, &centers, radius),
+            ] {
+                prop_assert_eq!(swept.centers(), from_balls.centers());
+                for v in 0..n {
+                    prop_assert_eq!(swept.cluster_of(v), from_balls.cluster_of(v));
+                    prop_assert_eq!(swept.dist_to_center(v).to_bits(), from_balls.dist_to_center(v).to_bits());
+                }
             }
             // Centres are exactly the nodes assigned to themselves at distance 0.
             for (c, &center) in cover.centers().iter().enumerate() {

@@ -35,8 +35,11 @@ pub(crate) trait PhaseSteps {
     /// Step (i): a cluster cover of `spanner` with radius `phase.radius`.
     fn cover(&mut self, spanner: &WeightedGraph, phase: &Phase) -> &ClusterCover;
 
-    /// Step (iii): the cluster graph `H_{i-1}` of that cover.
-    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase);
+    /// Step (iii): the cluster graph `H_{i-1}` of that cover, as far as
+    /// the phase's `queries` (the step-(ii) selection) can read it: the
+    /// distributed and ablation steps build it only over the region their
+    /// searches from the query endpoints can reach.
+    fn cluster_graph(&mut self, spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]);
 
     /// Step (iv): entry `k` is `true` when `queries[k]` has no path within
     /// `t·w` and must be added.
@@ -134,7 +137,7 @@ pub(crate) fn run_phases<P: PointAccess + ?Sized>(
 
             // Step (iii): the cluster graph H_{i-1}.
             let step = Instant::now();
-            steps.cluster_graph(spanner, &phase);
+            steps.cluster_graph(spanner, &phase, &selection.query_edges);
             timing.h_build_seconds = step.elapsed().as_secs_f64();
 
             // Step (iv): every query of the bin is asked on the same frozen

@@ -218,7 +218,7 @@ impl PhaseSteps for PhaseEngine {
 
     /// Nothing to do: `H` only changes in step (v), which pushes each
     /// change onto the quotient's overlay as it happens.
-    fn cluster_graph(&mut self, _spanner: &WeightedGraph, _phase: &Phase) {}
+    fn cluster_graph(&mut self, _spanner: &WeightedGraph, _phase: &Phase, _queries: &[Edge]) {}
 
     fn answer(&mut self, _spanner: &WeightedGraph, phase: &Phase, queries: &[Edge]) -> Vec<bool> {
         // Any H-path between distinct clusters starts and ends with the

@@ -33,11 +33,17 @@
 //!   tracks the shrinking cluster count and the phase's own changes
 //!   instead of `n` — see `docs/PERFORMANCE.md`, "Phase engine".
 //! * [`run_ablation`](crate::run_ablation) recomputes a greedy cover and
-//!   the full [`build_cluster_graph`] every phase, and can switch each
-//!   mechanism off.
+//!   the cluster graph every phase, and can switch each mechanism off.
 //! * [`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy) builds
 //!   its cover from an MIS and replaces each step with its
 //!   message-passing counterpart, charging the rounds it costs.
+//!
+//! The ablation and distributed steps build `H_{i-1}` with the one builder
+//! behind [`build_cluster_graph`], but only over the region the phase's
+//! queries can read: the nodes within `G'` distance `t·max_w` of a query
+//! endpoint. Since `d_H ≥ d_G'`, the queries and the redundancy sweeps
+//! find the same distances there as on the whole `H` — see
+//! `docs/PERFORMANCE.md`, "Distributed steps".
 
 mod bins;
 mod cluster_graph;
@@ -48,6 +54,7 @@ mod query;
 mod redundant;
 
 pub use bins::BinPartition;
+pub(crate) use cluster_graph::RegionClusterGraph;
 pub use cluster_graph::{build_cluster_graph, ClusterGraphStats};
 pub(crate) use cover::Balls;
 pub use cover::ClusterCover;
@@ -117,7 +124,8 @@ pub struct PhaseTiming {
     /// Step (iii): taking the cluster graph for the phase's queries (0 for
     /// phase 0). The phase engine freezes its quotient into CSR once per
     /// cover level, in step (i), so there this step is O(1); the
-    /// distributed and ablation steps build the full `H_{i-1}` here.
+    /// distributed and ablation steps build `H_{i-1}` here, over the
+    /// region their queries can read.
     pub h_build_seconds: f64,
     /// Step (iv): answering the spanner-path queries (0 for phase 0).
     pub query_seconds: f64,

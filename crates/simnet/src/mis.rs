@@ -13,9 +13,12 @@
 //!   node identifiers as ranks (this mirrors the paper's "attach to the
 //!   neighbour in the MIS with the highest identifier" tie-breaking),
 //! * [`luby_mis`] — Luby's randomised protocol, re-randomising priorities
-//!   every phase; terminates in `O(log n)` phases with high probability.
+//!   every phase; terminates in `O(log n)` phases with high probability,
+//! * [`rank_mis_compact`] / [`luby_mis_compact`] — the same protocols on a
+//!   graph given by its non-isolated part, returning exactly the whole
+//!   graph's result while simulating only that part.
 //!
-//! Both return the measured [`CommStats`] so the round-complexity
+//! All return the measured [`CommStats`] so the round-complexity
 //! experiment can report the spanner's total rounds with the MIS cost
 //! either included or normalised out.
 
@@ -68,6 +71,37 @@ enum RankMsg {
 /// paper's "highest identifier" convention.
 pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u64]>) -> MisResult {
     let n = graph.node_count();
+    if let Some(r) = ranks.filter(|_| n > 0) {
+        assert_eq!(r.len(), n, "one rank per node is required");
+    }
+    run_rank(graph, |v| (ranks.map_or(v as u64, |r| r[v]), v), 4 * n + 8)
+}
+
+/// [`rank_mis`] with identifier ranks on an `n`-node graph given by its
+/// non-isolated part: `graph` is the subgraph induced on `ids`
+/// (ascending), its node `k` standing for node `ids[k]`, and no node
+/// outside `ids` has an edge. The protocol runs on `graph` alone, with the
+/// original identifiers as ranks, and the result (MIS in original
+/// identifiers, rounds, messages, phases) is exactly what `rank_mis` returns
+/// on the whole `n`-node graph.
+///
+/// # Panics
+///
+/// Panics if `ids` does not have one entry per node of `graph`.
+pub fn rank_mis_compact(n: usize, ids: &[NodeId], graph: &WeightedGraph) -> MisResult {
+    assert_eq!(ids.len(), graph.node_count(), "one id per node is required");
+    let sub = run_rank(graph, |k| (ids[k] as u64, ids[k]), 4 * n + 8);
+    with_isolated(n, ids, sub, || rank_mis(&WeightedGraph::new(1), None))
+}
+
+/// The rank protocol with `rank_of(v)` as node `v`'s (distinct) rank, for at
+/// most `max_rounds` rounds.
+fn run_rank(
+    graph: &WeightedGraph,
+    rank_of: impl Fn(NodeId) -> (u64, NodeId),
+    max_rounds: usize,
+) -> MisResult {
+    let n = graph.node_count();
     if n == 0 {
         return MisResult {
             mis: Vec::new(),
@@ -75,12 +109,9 @@ pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u64]>) -> MisResult {
             phases: 0,
         };
     }
-    if let Some(r) = ranks {
-        assert_eq!(r.len(), n, "one rank per node is required");
-    }
     let init: Vec<RankState> = (0..n)
         .map(|v| RankState {
-            rank: (ranks.map_or(v as u64, |r| r[v]), v),
+            rank: rank_of(v),
             status: Status::Undecided,
             undecided: Vec::new(),
             decided_round: 0,
@@ -129,7 +160,7 @@ pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u64]>) -> MisResult {
                 StepResult::idle()
             }
         },
-        4 * n + 8,
+        max_rounds,
     );
     let mis: Vec<NodeId> = states
         .iter()
@@ -168,6 +199,38 @@ enum LubyMsg {
 /// Terminates in `O(log n)` phases with high probability.
 pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
     let n = graph.node_count();
+    run_luby(graph, |v| v, seed, luby_round_limit(n))
+}
+
+/// [`luby_mis`] on an `n`-node graph given by its non-isolated part, as in
+/// [`rank_mis_compact`]: the protocol runs on `graph` alone, each node
+/// seeded and tie-broken by its original identifier `ids[k]`, under the
+/// round limit of the whole graph, so the result is exactly what
+/// `luby_mis` returns on the whole `n`-node graph.
+///
+/// # Panics
+///
+/// Panics if `ids` does not have one entry per node of `graph`.
+pub fn luby_mis_compact(n: usize, ids: &[NodeId], graph: &WeightedGraph, seed: u64) -> MisResult {
+    assert_eq!(ids.len(), graph.node_count(), "one id per node is required");
+    let sub = run_luby(graph, |k| ids[k], seed, luby_round_limit(n));
+    with_isolated(n, ids, sub, || luby_mis(&WeightedGraph::new(1), seed))
+}
+
+/// The round limit of Luby's protocol on an `n`-node graph.
+fn luby_round_limit(n: usize) -> usize {
+    12 * (crate::log2_ceil(n) as usize + 2) * 3 + 64
+}
+
+/// Luby's protocol with `id_of(v)` as node `v`'s identifier (its random
+/// seed and tie-break), for at most `max_rounds` rounds.
+fn run_luby(
+    graph: &WeightedGraph,
+    id_of: impl Fn(NodeId) -> NodeId,
+    seed: u64,
+    max_rounds: usize,
+) -> MisResult {
+    let n = graph.node_count();
     if n == 0 {
         return MisResult {
             mis: Vec::new(),
@@ -181,7 +244,9 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
             value: 0,
             undecided: graph.neighbors(v).iter().map(|&(u, _)| u).collect(),
             values_seen: Vec::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            rng: ChaCha8Rng::seed_from_u64(
+                seed ^ (id_of(v) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
             phase_decided: 0,
         })
         .collect();
@@ -236,11 +301,11 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
                         return StepResult::broadcast(ctx.neighbors().to_vec(), LubyMsg::Blocked)
                             .halt();
                     }
-                    let me = (state.value, node);
+                    let me = (state.value, id_of(node));
                     let dominated = state
                         .values_seen
                         .iter()
-                        .any(|&(from, v)| state.undecided.contains(&from) && (v, from) > me);
+                        .any(|&(from, v)| state.undecided.contains(&from) && (v, id_of(from)) > me);
                     if !dominated {
                         state.status = Status::InMis;
                         state.phase_decided = phase + 1;
@@ -260,7 +325,7 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
                 }
             }
         },
-        12 * (crate::log2_ceil(n) as usize + 2) * 3 + 64,
+        max_rounds,
     );
     let mis: Vec<NodeId> = states
         .iter()
@@ -273,6 +338,51 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
         mis,
         stats: net.stats(),
         phases,
+    }
+}
+
+/// Completes a protocol run `sub` on the non-isolated part of an `n`-node
+/// graph (see [`rank_mis_compact`]): maps its MIS back to the original
+/// identifiers and adds every other node, which is isolated and so in
+/// every MIS. Isolated nodes send nothing and finish in the rounds and
+/// phases `floor` measures on a single isolated node; the executor stops
+/// when its last node does, so rounds and phases are the larger of the two
+/// runs, messages add and the per-node-round maximum is the larger one.
+fn with_isolated(
+    n: usize,
+    ids: &[NodeId],
+    sub: MisResult,
+    floor: impl FnOnce() -> MisResult,
+) -> MisResult {
+    debug_assert!(
+        ids.windows(2).all(|w| w[0] < w[1]) && ids.last().is_none_or(|&v| v < n),
+        "the non-isolated ids must be ascending and below n"
+    );
+    let mut mis = Vec::with_capacity(sub.mis.len() + n - ids.len());
+    let mut sub_mis = sub.mis.iter().map(|&k| ids[k]).peekable();
+    let mut non_isolated = ids.iter().copied().peekable();
+    for v in 0..n {
+        // An isolated node joins; a non-isolated one joins if its run chose it.
+        let isolated = non_isolated.next_if_eq(&v).is_none();
+        if isolated || sub_mis.next_if_eq(&v).is_some() {
+            mis.push(v);
+        }
+    }
+    if ids.len() == n {
+        return MisResult { mis, ..sub };
+    }
+    let floor = floor();
+    MisResult {
+        mis,
+        stats: CommStats {
+            rounds: sub.stats.rounds.max(floor.stats.rounds),
+            messages: sub.stats.messages + floor.stats.messages,
+            max_messages_per_node_round: sub
+                .stats
+                .max_messages_per_node_round
+                .max(floor.stats.max_messages_per_node_round),
+        },
+        phases: sub.phases.max(floor.phases),
     }
 }
 
@@ -379,8 +489,127 @@ mod tests {
         let _ = rank_mis(&g, Some(&[1, 2]));
     }
 
+    #[test]
+    fn an_isolated_node_takes_two_rank_rounds_and_one_luby_round() {
+        // The floor the compact runs add for their isolated nodes: a rank
+        // node advertises in round 0 and joins in round 1; a Luby node
+        // with no undecided neighbour joins in round 0. Neither sends a
+        // message.
+        for n in [1, 7] {
+            let edgeless = WeightedGraph::new(n);
+            let rank = rank_mis(&edgeless, None);
+            assert_eq!(rank.mis, (0..n).collect::<Vec<_>>());
+            assert_eq!(
+                (rank.stats, rank.phases),
+                (
+                    CommStats {
+                        rounds: 2,
+                        messages: 0,
+                        max_messages_per_node_round: 0
+                    },
+                    1
+                )
+            );
+            let luby = luby_mis(&edgeless, 3);
+            assert_eq!(luby.mis, (0..n).collect::<Vec<_>>());
+            assert_eq!(
+                (luby.stats, luby.phases),
+                (
+                    CommStats {
+                        rounds: 1,
+                        messages: 0,
+                        max_messages_per_node_round: 0
+                    },
+                    1
+                )
+            );
+        }
+    }
+
+    /// `(MIS, stats, phases)`, the whole observable result.
+    fn observed(r: &MisResult) -> (Vec<NodeId>, CommStats, usize) {
+        (r.mis.clone(), r.stats, r.phases)
+    }
+
+    /// A G(n, p) graph over the nodes `keep` selects; every other node is
+    /// isolated.
+    fn graph_on(seed: u64, n: usize, p: f64, keep: impl Fn(NodeId) -> bool) -> WeightedGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut g = WeightedGraph::new(n);
+        for u in (0..n).filter(|&u| keep(u)) {
+            for v in ((u + 1)..n).filter(|&v| keep(v)) {
+                if rng.gen_bool(p) {
+                    g.add_edge(u, v, 1.0);
+                }
+            }
+        }
+        g
+    }
+
+    /// Both compact protocols on the part of `g` that `ids` selects (which
+    /// must hold every node with an edge) against the full n-node runs.
+    fn assert_compact_matches_full(g: &WeightedGraph, ids: &[NodeId], seed: u64) {
+        let n = g.node_count();
+        let mut local = vec![usize::MAX; n];
+        for (k, &v) in ids.iter().enumerate() {
+            local[v] = k;
+        }
+        let sub = WeightedGraph::from_edges(
+            ids.len(),
+            g.edges()
+                .map(|e| tc_graph::Edge::new(local[e.u], local[e.v], e.weight)),
+        );
+        assert_eq!(
+            observed(&rank_mis_compact(n, ids, &sub)),
+            observed(&rank_mis(g, None)),
+            "rank MIS, n = {n}, {} non-isolated",
+            ids.len()
+        );
+        assert_eq!(
+            observed(&luby_mis_compact(n, ids, &sub, seed)),
+            observed(&luby_mis(g, seed)),
+            "Luby MIS, n = {n}, {} non-isolated",
+            ids.len()
+        );
+    }
+
+    #[test]
+    fn compact_runs_cover_the_edge_cases() {
+        // No node, one node, all isolated, none isolated.
+        assert_compact_matches_full(&WeightedGraph::new(0), &[], 1);
+        assert_compact_matches_full(&WeightedGraph::new(1), &[], 1);
+        assert_compact_matches_full(&WeightedGraph::new(1), &[0], 1);
+        assert_compact_matches_full(&WeightedGraph::new(9), &[], 2);
+        let g = random_graph(4, 12, 0.5);
+        let all: Vec<NodeId> = (0..12).collect();
+        assert_compact_matches_full(&g, &all, 3);
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// MIS on the non-isolated part with the original ids, plus the
+        /// isolated-node floor, is the full n-node run: same MIS, rounds,
+        /// messages, per-node-round maximum and phases.
+        #[test]
+        fn the_compact_path_reproduces_the_full_run(
+            seed in 0u64..1_000,
+            n in 1usize..120,
+            active_per_mille in 0u64..1_000,
+            p in 0.0f64..0.4,
+            with_isolated_ids in 0u8..2,
+        ) {
+            // Only a pseudo-random subset of the nodes may have edges, so
+            // most runs mix many isolated nodes with a few components.
+            let active = |v: NodeId| (v as u64 * 7919 + seed) % 1_000 < active_per_mille;
+            let g = graph_on(seed, n, p, active);
+            // The ids may also list isolated nodes; they then run inside
+            // the compact graph instead of joining through the floor.
+            let ids: Vec<NodeId> = (0..n)
+                .filter(|&v| !g.neighbors(v).is_empty() || (with_isolated_ids == 1 && active(v)))
+                .collect();
+            assert_compact_matches_full(&g, &ids, seed);
+        }
+
         #[test]
         fn both_protocols_always_produce_maximal_independent_sets(
             seed in 0u64..300,

@@ -189,25 +189,28 @@ fn with_near_twins(mut points: Vec<Point>) -> Vec<Point> {
     points
 }
 
-/// Golden output of the distributed construction on a seeded 5k-node
-/// α = 0.8 grey-zone deployment with near-twin points: the spanner's edge hash, the total rounds
-/// and messages, the rounds per step label (summed over phases) and a
-/// fingerprint of the whole ledger in charge order. Refactors of the phase
-/// driver must leave all of them bit for bit unchanged.
-#[test]
-fn seeded_5k_distributed_spanner_matches_its_golden_output() {
+/// The seeded 5k-node α = 0.8 grey-zone deployment with near-twin points
+/// behind the distributed goldens.
+fn distributed_5k_deployment() -> UnitBallGraph {
     const N: usize = 5_000;
     let mut rng = ChaCha8Rng::seed_from_u64(2006);
     let side = generators::side_for_target_degree(N, 2, 10.0);
     let points = with_near_twins(generators::uniform_points(&mut rng, N, 2, side));
-    let ubg = UbgBuilder::new(0.8)
+    UbgBuilder::new(0.8)
         .grey_zone(GreyZonePolicy::Probabilistic {
             probability: 0.5,
             seed: 2006,
         })
         .build(points)
-        .unwrap();
-    let out = build_spanner_distributed(&ubg, 1.0).unwrap();
+        .unwrap()
+}
+
+/// A distributed run's golden fingerprint: the spanner's edge hash, the
+/// total rounds and messages, the rounds per step label (summed over
+/// phases) and a fingerprint of the whole ledger in charge order.
+fn distributed_fingerprint(
+    out: &topology_control::spanner::DistributedSpannerResult,
+) -> (String, usize, usize, String, String) {
     let mut per_step: std::collections::BTreeMap<&str, usize> = Default::default();
     let mut ledger_bytes = Vec::new();
     for (label, stats) in out.ledger.entries() {
@@ -226,14 +229,23 @@ fn seeded_5k_distributed_spanner_matches_its_golden_output() {
         .iter()
         .map(|(step, rounds)| format!("{step}={rounds}"))
         .collect();
+    (
+        format!("{:016x}", edge_hash(&out.result.spanner)),
+        out.rounds,
+        out.messages,
+        per_step.join(" "),
+        format!("{:016x}", fnv(ledger_bytes)),
+    )
+}
+
+/// Golden output of the distributed construction (rank MIS) on the 5k
+/// deployment. Refactors of the phase driver must leave all of it bit for
+/// bit unchanged.
+#[test]
+fn seeded_5k_distributed_spanner_matches_its_golden_output() {
+    let out = build_spanner_distributed(&distributed_5k_deployment(), 1.0).unwrap();
     assert_eq!(
-        (
-            format!("{:016x}", edge_hash(&out.result.spanner)),
-            out.rounds,
-            out.messages,
-            per_step.join(" "),
-            format!("{:016x}", fnv(ledger_bytes)),
-        ),
+        distributed_fingerprint(&out),
         (
             "ceaa395465a8f4b2".to_string(),
             5155,
@@ -243,6 +255,31 @@ fn seeded_5k_distributed_spanner_matches_its_golden_output() {
              query-selection/gather=716 redundant/announce=358 redundant/mis=360"
                 .to_string(),
             "581de1971a5312d1".to_string(),
+        ),
+    );
+}
+
+/// Golden output of the distributed construction with Luby's MIS (seed 7)
+/// on the same deployment: Luby seeds each node's priorities from its
+/// identifier, so this pins that the cover MIS sees the original ids.
+#[test]
+fn seeded_5k_distributed_luby_spanner_matches_its_golden_output() {
+    use topology_control::spanner::MisProtocol;
+    let params = SpannerParams::for_epsilon(1.0, 0.8).unwrap();
+    let out = DistributedRelaxedGreedy::new(params)
+        .with_mis_protocol(MisProtocol::Luby { seed: 7 })
+        .run(&distributed_5k_deployment());
+    assert_eq!(
+        distributed_fingerprint(&out),
+        (
+            "34147b2b1e16f909".to_string(),
+            5155,
+            23868,
+            "announce-spanner-edges=1 cluster-graph/gather=497 cover/attach=358 \
+             cover/gather=358 cover/mis=1432 gather-neighbourhood=1 queries/answer=1074 \
+             query-selection/gather=716 redundant/announce=358 redundant/mis=360"
+                .to_string(),
+            "b8a0a6682af5d8c5".to_string(),
         ),
     );
 }

@@ -16,7 +16,9 @@
 //! The distributed test pins the message-passing construction's edge
 //! hash, rounds and messages at 40k nodes and bounds its release
 //! wall-clock time, since that path never enters the phase engine the
-//! 200k test exercises.
+//! 200k test exercises. It prints the build time with its per-step split
+//! (cover, selection, H build, queries, redundancy), so CI logs show
+//! where the distributed phases spend their time.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -133,7 +135,7 @@ fn distributed_40k_matches_its_golden_output_within_budget() {
         .expect("generator points share a dimension");
     let params = SpannerParams::for_epsilon(1.0, 0.8).expect("valid parameters");
     let start = std::time::Instant::now();
-    let out = DistributedRelaxedGreedy::new(params).run(&ubg);
+    let (out, timings) = DistributedRelaxedGreedy::new(params).run_timed(&ubg);
     let spent = start.elapsed().as_secs_f64();
     // Recorded before the flat per-phase steps landed; the steps are a
     // performance change and must not move the output.
@@ -144,7 +146,17 @@ fn distributed_40k_matches_its_golden_output_within_budget() {
         out.result.spanner.edge_count()
     );
     assert_eq!((out.rounds, out.messages), (7_568, 141_136));
-    println!("distributed 40k build: {spent:.2}s (budget {DIST_BUDGET_SECONDS:.0}s)");
+    let step = |f: fn(&tc_spanner::relaxed::PhaseTiming) -> f64| timings.iter().map(f).sum::<f64>();
+    println!(
+        "distributed 40k build: {spent:.2}s (budget {DIST_BUDGET_SECONDS:.0}s) over {} phases; \
+         steps: cover {:.2}s, selection {:.2}s, H {:.2}s, query {:.2}s, redundancy {:.2}s",
+        timings.len(),
+        step(|t| t.cover_seconds),
+        step(|t| t.selection_seconds),
+        step(|t| t.h_build_seconds),
+        step(|t| t.query_seconds),
+        step(|t| t.redundant_seconds),
+    );
     assert!(
         spent <= DIST_BUDGET_SECONDS,
         "distributed 40k build took {spent:.1}s, over its {DIST_BUDGET_SECONDS:.0}s budget"
